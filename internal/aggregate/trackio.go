@@ -12,7 +12,6 @@ import (
 	"crowdmap/internal/keyframe"
 	"crowdmap/internal/trajectory"
 	"crowdmap/internal/vision/histogram"
-	"crowdmap/internal/vision/hog"
 	"crowdmap/internal/vision/shape"
 	"crowdmap/internal/vision/surf"
 	"crowdmap/internal/vision/wavelet"
@@ -27,7 +26,9 @@ import (
 // the same deterministic constructors keyframe.Extract uses, so a decoded
 // track drives decisions bit-identical to the freshly extracted one.
 // Gob keeps float64 values exact; gzip keeps the journal entries (which
-// retain SRS key-frame pixels for panorama stitching) compact.
+// retain SRS key-frame pixels for panorama stitching) compact. Artifacts
+// written while key-frames still carried a HOG descriptor decode to the
+// same features: gob skips fields the receiving type lacks.
 
 // trackArtifact mirrors Track minus run-local state: Quality is stamped
 // per run by the quality gate, so it is deliberately not persisted.
@@ -48,7 +49,6 @@ type kfArtifact struct {
 	Heading   float64
 	LocalPos  geom.Pt
 	TruthPose world.Pose
-	HOG       hog.Descriptor
 	Hist      *histogram.Hist
 	Shape     *shape.Descriptor
 	Wavelet   *wavelet.Signature
@@ -74,7 +74,6 @@ func EncodeTrack(t *Track) ([]byte, error) {
 			Heading:   kf.Heading,
 			LocalPos:  kf.LocalPos,
 			TruthPose: kf.TruthPose,
-			HOG:       kf.HOG,
 			Hist:      kf.Hist,
 			Shape:     kf.Shape,
 			Wavelet:   kf.Wavelet,
@@ -140,7 +139,6 @@ func DecodeTrack(data []byte) (*Track, error) {
 			Heading:   a.Heading,
 			LocalPos:  a.LocalPos,
 			TruthPose: a.TruthPose,
-			HOG:       a.HOG,
 			Hist:      a.Hist,
 			Shape:     a.Shape,
 			Wavelet:   a.Wavelet,

@@ -1,10 +1,22 @@
 package aggregate
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
 	"crowdmap/internal/geom"
+	"crowdmap/internal/img"
+	"crowdmap/internal/keyframe"
+	"crowdmap/internal/mathx"
+	"crowdmap/internal/trajectory"
+	"crowdmap/internal/vision/histogram"
+	"crowdmap/internal/vision/hog"
+	"crowdmap/internal/vision/shape"
+	"crowdmap/internal/vision/surf"
+	"crowdmap/internal/vision/wavelet"
 	"crowdmap/internal/world"
 )
 
@@ -74,5 +86,78 @@ func TestTrackCodecErrors(t *testing.T) {
 	}
 	if _, err := DecodeTrack([]byte("not gzip")); err == nil {
 		t.Error("decoding junk succeeded")
+	}
+}
+
+// legacyKFArtifact and legacyTrackArtifact are the track artifact as it
+// was persisted while key-frames still carried their HOG descriptor.
+type legacyKFArtifact struct {
+	T         float64
+	Image     *img.RGB
+	Heading   float64
+	LocalPos  geom.Pt
+	TruthPose world.Pose
+	HOG       hog.Descriptor
+	Hist      *histogram.Hist
+	Shape     *shape.Descriptor
+	Wavelet   *wavelet.Signature
+	SURF      []surf.Feature
+}
+
+type legacyTrackArtifact struct {
+	ID    string
+	Night bool
+	Hash  string
+	Traj  trajectory.Trajectory
+	KFs   []legacyKFArtifact
+}
+
+// TestTrackCodecDecodesLegacyHOGArtifacts: a track journaled before
+// key-frames dropped HOG decodes to the live key-frames (gob skips the
+// field the receiving type lacks), so the comparison reaches the same
+// decisions and S2 scores and no journal needs re-extraction.
+func TestTrackCodecDecodesLegacyHOGArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders key-frames")
+	}
+	tr := buildTracks(t, world.Lab2(), [][2]geom.Pt{{geom.P(3, 7.5), geom.P(22, 7.5)}}, 41)[0]
+	rng := mathx.NewRNG(3)
+	art := legacyTrackArtifact{ID: tr.ID, Hash: "legacy", Traj: *tr.Traj}
+	for _, kf := range tr.KFs {
+		desc := make(hog.Descriptor, 7560) // the default HOG length on a survey frame
+		for i := range desc {
+			desc[i] = 0.2 * rng.Float64()
+		}
+		art.KFs = append(art.KFs, legacyKFArtifact{
+			T: kf.T, Image: kf.Image, Heading: kf.Heading, LocalPos: kf.LocalPos, TruthPose: kf.TruthPose,
+			HOG: desc, Hist: kf.Hist, Shape: kf.Shape, Wavelet: kf.Wavelet, SURF: kf.SURF,
+		})
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := gob.NewEncoder(zw).Encode(&art); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeTrack(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.KFs) != len(tr.KFs) {
+		t.Fatalf("decoded %d key-frames, want %d", len(got.KFs), len(tr.KFs))
+	}
+	p := keyframe.DefaultParams()
+	query := tr.KFs[len(tr.KFs)/2]
+	for i, live := range tr.KFs {
+		if !reflect.DeepEqual(got.KFs[i], live) {
+			t.Errorf("key-frame %d: legacy artifact decoded to different features", i)
+		}
+		wantSame, wantS2, wantErr := keyframe.Compare(query, live, p)
+		gotSame, gotS2, gotErr := keyframe.Compare(query, got.KFs[i], p)
+		if wantSame != gotSame || wantS2 != gotS2 || (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("kf %d: compare (%v, %v, %v) live vs (%v, %v, %v) decoded", i, wantSame, wantS2, wantErr, gotSame, gotS2, gotErr)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package mapserve
 import (
 	"errors"
 	"testing"
+
+	"crowdmap/internal/vision/wavelet"
 )
 
 // fuzzCorruptions derives the standard corruption seeds from one valid
@@ -62,7 +64,7 @@ func FuzzDecodeLocIndex(f *testing.F) {
 		Params: "fuzz-params",
 		KFs: []locKF{{
 			TrackID: "t0", Heading: 0.5,
-			Wavelet: &locWavelet{Size: 8, Average: 0.25, Idx: []int{1, 5}, Sign: []int8{1, -1}},
+			Wavelet: &wavelet.Flat{Size: 8, Average: 0.25, Idx: []int32{1, 5}, Sign: []int8{1, -1}},
 		}},
 	})
 	if err != nil {

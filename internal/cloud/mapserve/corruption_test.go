@@ -137,13 +137,15 @@ func TestVersionFloorSurvivesRecordLoss(t *testing.T) {
 	}
 }
 
-// TestLocateCorruptIndexKeepsPlanServing: index rot makes Locate fail
-// with the typed unavailability sentinel while the plan keeps serving.
+// TestLocateCorruptIndexKeepsPlanServing: index rot makes a cold Locate
+// (a restarted service, which loads the index from the store) fail with
+// the typed unavailability sentinel while the plan keeps serving. The
+// publishing service keeps answering from the index it built in memory,
+// which the rot on disk cannot reach.
 func TestLocateCorruptIndexKeepsPlanServing(t *testing.T) {
 	f := fixture(t)
 	st := store.New()
-	reg := obs.New()
-	s := newTestService(t, st, WithObs(reg))
+	s := newTestService(t, st)
 	v, err := s.Publish(fixBuilding, f.res)
 	if err != nil {
 		t.Fatal(err)
@@ -151,13 +153,18 @@ func TestLocateCorruptIndexKeepsPlanServing(t *testing.T) {
 	corruptDoc(t, st, CollServe, indexKey(fixBuilding, v.ETag))
 
 	frame, imu := queryFrame(t, f, 0)
-	if _, err := s.Locate(fixBuilding, frame.Image, imu); !errors.Is(err, ErrIndexUnavailable) {
+	if res, err := s.Locate(fixBuilding, frame.Image, imu); err != nil || !res.Located {
+		t.Fatalf("warm locate over the seeded index: %+v, %v", res, err)
+	}
+	reg := obs.New()
+	cold := newTestService(t, st, WithObs(reg))
+	if _, err := cold.Locate(fixBuilding, frame.Image, imu); !errors.Is(err, ErrIndexUnavailable) {
 		t.Fatalf("locate error = %v, want ErrIndexUnavailable", err)
 	}
 	if reg.Snapshot().Counters["mapserve.index.corrupt"] != 1 {
 		t.Fatal("index corruption not counted")
 	}
-	if _, ok := s.Plan(fixBuilding); !ok {
+	if _, ok := cold.Plan(fixBuilding); !ok {
 		t.Fatal("plan stopped serving after index corruption")
 	}
 }

@@ -6,28 +6,27 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 
 	"crowdmap"
 	"crowdmap/internal/geom"
-	"crowdmap/internal/img"
 	"crowdmap/internal/keyframe"
 	"crowdmap/internal/vision/histogram"
-	"crowdmap/internal/vision/hog"
 	"crowdmap/internal/vision/shape"
 	"crowdmap/internal/vision/surf"
 	"crowdmap/internal/vision/wavelet"
 )
 
 // Localization-index persistence mirrors the track-artifact codec in
-// internal/aggregate/trackio.go: gob+gzip over primary extraction output
-// only, with the derived structures (flattened wavelet signature, SURF
-// nearest-neighbor index) rebuilt on decode by the same deterministic
-// constructors keyframe.Extract uses. A decoded index therefore drives
-// comparison decisions bit-identical to matching against the live
-// key-frames the reconstruction produced. Unlike track artifacts, index
-// entries deliberately drop key-frame pixels (Image): localization only
-// compares features, and the pixels would multiply the artifact size.
+// internal/aggregate/trackio.go: gob+gzip over the primary features the
+// hierarchical comparison reads, with the derived structures (the wavelet
+// signature's map and re-flattened forms, the SURF nearest-neighbor index)
+// rebuilt by deterministic constructors. Publish caches the index it builds from the artifact it
+// encodes, through the same code the decoder runs, so a seeded and a
+// decoded index drive bit-identical comparison decisions. Unlike track
+// artifacts, index entries drop key-frame pixels (Image). Indexes written
+// when entries still carried a HOG descriptor decode to the same
+// features: gob skips fields the receiving type lacks, and their wavelet
+// field's names and integer kinds match wavelet.Flat's.
 
 // locKF is one persisted index entry: a key-frame's primary features plus
 // its global-frame pose.
@@ -35,55 +34,13 @@ type locKF struct {
 	TrackID string
 	Pos     geom.Pt
 	Heading float64
-	HOG     hog.Descriptor
 	Hist    *histogram.Hist
 	Shape   *shape.Descriptor
-	Wavelet *locWavelet
+	// Wavelet is the signature's sorted-slice form: the live map form
+	// would gob-encode in randomized iteration order and make the index
+	// bytes (and the published ETag) differ between identical rebuilds.
+	Wavelet *wavelet.Flat
 	SURF    []surf.Feature
-}
-
-// locWavelet is a wavelet.Signature in canonical persisted form. The live
-// signature keeps its significant coefficients in a map, which gob encodes
-// in randomized iteration order — that would make the artifact bytes (and
-// therefore the published content ETag) differ between byte-identical
-// reconstructions. Persisting index-sorted parallel slices keeps encoding
-// deterministic.
-type locWavelet struct {
-	Size    int
-	Average float64
-	Idx     []int
-	Sign    []int8
-}
-
-func toLocWavelet(s *wavelet.Signature) *locWavelet {
-	if s == nil {
-		return nil
-	}
-	w := &locWavelet{
-		Size:    s.Size,
-		Average: s.Average,
-		Idx:     make([]int, 0, len(s.Coeffs)),
-		Sign:    make([]int8, 0, len(s.Coeffs)),
-	}
-	for i := range s.Coeffs {
-		w.Idx = append(w.Idx, i)
-	}
-	sort.Ints(w.Idx)
-	for _, i := range w.Idx {
-		w.Sign = append(w.Sign, s.Coeffs[i])
-	}
-	return w
-}
-
-func (w *locWavelet) signature() *wavelet.Signature {
-	if w == nil {
-		return nil
-	}
-	s := &wavelet.Signature{Size: w.Size, Average: w.Average, Coeffs: make(map[int]int8, len(w.Idx))}
-	for j, i := range w.Idx {
-		s.Coeffs[i] = w.Sign[j]
-	}
-	return s
 }
 
 // locArtifact is the persisted form of one building's index.
@@ -112,10 +69,9 @@ func buildLocArtifact(res *crowdmap.Result, p keyframe.Params) *locArtifact {
 			TrackID: pk.TrackID,
 			Pos:     pk.Pos,
 			Heading: pk.Heading,
-			HOG:     pk.KF.HOG,
 			Hist:    pk.KF.Hist,
 			Shape:   pk.KF.Shape,
-			Wavelet: toLocWavelet(pk.KF.Wavelet),
+			Wavelet: pk.KF.WaveletFlat,
 			SURF:    pk.KF.SURF,
 		}
 	}
@@ -153,6 +109,13 @@ func decodeLocIndex(data []byte) (*locIndex, error) {
 	if err := zr.Close(); err != nil {
 		return nil, &CodecError{Artifact: "localization index", Err: err}
 	}
+	return art.index(), nil
+}
+
+// index builds the query-ready form of an artifact: fresh key-frames
+// holding only the persisted features plus the derived structures
+// extraction would build, and no pixels.
+func (art *locArtifact) index() *locIndex {
 	idx := &locIndex{
 		kfs:   make([]*keyframe.KeyFrame, len(art.KFs)),
 		poses: make([]globalPose, len(art.KFs)),
@@ -160,50 +123,17 @@ func decodeLocIndex(data []byte) (*locIndex, error) {
 	for i, a := range art.KFs {
 		kf := &keyframe.KeyFrame{
 			Heading: a.Heading,
-			HOG:     a.HOG,
 			Hist:    a.Hist,
 			Shape:   a.Shape,
-			Wavelet: a.Wavelet.signature(),
 			SURF:    a.SURF,
 		}
-		if kf.Wavelet != nil {
+		if a.Wavelet != nil {
+			kf.Wavelet = a.Wavelet.Signature()
 			kf.WaveletFlat = kf.Wavelet.Flatten()
 		}
 		kf.SURFIndex = surf.NewIndex(kf.SURF)
 		idx.kfs[i] = kf
 		idx.poses[i] = globalPose{TrackID: a.TrackID, Pos: a.Pos, Heading: a.Heading}
 	}
-	return idx, nil
-}
-
-// extractQuery runs the per-frame half of keyframe.Extract on one query
-// frame: the same feature extractors with the same parameters, so the
-// hierarchical comparison treats the query exactly like a pipeline
-// key-frame. There is no dead reckoning and no key-frame gating — a
-// localization query is a single frame, always "kept".
-func extractQuery(frame *img.RGB, p keyframe.Params) (*keyframe.KeyFrame, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	luma := img.AcquireGray(frame.W, frame.H)
-	defer img.ReleaseGray(luma)
-	frame.LumaInto(luma)
-	hd, err := hog.Compute(luma, p.HOG)
-	if err != nil {
-		return nil, fmt.Errorf("query HOG: %w", err)
-	}
-	kf := &keyframe.KeyFrame{Image: frame, HOG: hd}
-	if kf.Hist, err = histogram.Compute(frame, p.HistBins); err != nil {
-		return nil, fmt.Errorf("query histogram: %w", err)
-	}
-	if kf.Shape, err = shape.Compute(luma, p.Shape); err != nil {
-		return nil, fmt.Errorf("query shape: %w", err)
-	}
-	if kf.Wavelet, err = wavelet.Compute(luma, p.Wavelet); err != nil {
-		return nil, fmt.Errorf("query wavelet: %w", err)
-	}
-	kf.WaveletFlat = kf.Wavelet.Flatten()
-	kf.SURF = surf.Extract(luma, p.SURF)
-	kf.SURFIndex = surf.NewIndex(kf.SURF)
-	return kf, nil
+	return idx
 }

@@ -24,10 +24,11 @@
 // stage-2 SURF mutual-nearest-neighbor similarity); the best-matching
 // placed key-frame's global pose is the answer. An optional IMU snippet
 // gates candidates by compass heading, mirroring the aggregation
-// anchor-search gate. Indexes are persisted gob+gzip per building (the
-// trackio.go artifact idiom: primary features stored, derived structures
-// rebuilt on decode) and loaded lazily through a bounded LRU across
-// buildings.
+// anchor-search gate. Indexes hold the compared features only, are
+// persisted gob+gzip per building (the trackio.go artifact idiom: primary
+// features stored, derived structures rebuilt on decode), and live in a
+// bounded LRU across buildings: Publish seeds it with the index it just
+// built, and a restarted service loads each building's index lazily.
 package mapserve
 
 import (
@@ -204,7 +205,8 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	if err != nil {
 		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
 	}
-	idxBytes, err := encodeLocIndex(buildLocArtifact(res, s.kf))
+	art := buildLocArtifact(res, s.kf)
+	idxBytes, err := encodeLocIndex(art)
 	if err != nil {
 		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
 	}
@@ -277,6 +279,11 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	if err := s.keep.Put(CollServe, planKey(building), recBytes); err != nil {
 		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: store plan: %w", building, err)
 	}
+	// Seed the cache with the index just built (a repair overwrites its
+	// entry), so no locate after the swap decodes it back from the store.
+	if evicted := s.cache.put(rec.IndexKey, art.index()); evicted > 0 {
+		s.reg.Counter("mapserve.index.cache.evictions").Add(int64(evicted))
+	}
 	// Atomic swap: from here every reader sees the new complete version.
 	s.mu.Lock()
 	s.current[building] = rec
@@ -287,7 +294,6 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 		s.cache.remove(cur.IndexKey)
 	}
 	if repair {
-		s.cache.remove(rec.IndexKey)
 		s.reg.Counter("mapserve.publish.repaired").Inc()
 		s.reg.Counter("integrity.repaired").Inc()
 	}
@@ -433,8 +439,8 @@ type LocateResult struct {
 func (s *Service) Locate(building string, frame *img.RGB, imu []sensor.Sample) (LocateResult, error) {
 	start := time.Now()
 	s.reg.Counter("mapserve.locate.requests").Inc()
-	if frame == nil || frame.W <= 0 || frame.H <= 0 {
-		return LocateResult{}, fmt.Errorf("mapserve: locate %s: empty query frame", building)
+	if frame == nil {
+		return LocateResult{}, fmt.Errorf("mapserve: locate %s: nil query frame", building)
 	}
 	rec, ok := s.record(building)
 	if !ok {
@@ -444,7 +450,7 @@ func (s *Service) Locate(building string, frame *img.RGB, imu []sensor.Sample) (
 	if err != nil {
 		return LocateResult{}, fmt.Errorf("mapserve: locate %s: %w", building, err)
 	}
-	query, err := extractQuery(frame, s.kf)
+	query, err := keyframe.Describe(frame, s.kf)
 	if err != nil {
 		return LocateResult{}, fmt.Errorf("mapserve: locate %s: %w", building, err)
 	}

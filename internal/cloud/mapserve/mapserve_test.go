@@ -390,7 +390,7 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d key-frames, want %d", len(idx.kfs), len(f.kfs))
 	}
 	frame, _ := queryFrame(t, f, len(f.kfs)/2)
-	query, err := extractQuery(frame.Image, p)
+	query, err := keyframe.Describe(frame.Image, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"crowdmap/internal/cloud/mapserve"
+	"crowdmap/internal/keyframe"
 	"crowdmap/internal/sensor"
 )
 
@@ -149,6 +150,18 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "invalid frame_png base64: "+err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
+	// Header first, as for uploaded frames: a small PNG can declare a
+	// canvas that would be allocated in full by the decode below.
+	cfg, err := png.DecodeConfig(bytes.NewReader(raw))
+	if err != nil {
+		http.Error(w, "invalid frame_png: "+err.Error(), http.StatusUnprocessableEntity)
+		return
+	}
+	if px := int64(cfg.Width) * int64(cfg.Height); px > MaxFramePixels {
+		tle := &TooLargeError{Name: "frame_png", Size: px, Limit: MaxFramePixels}
+		http.Error(w, tle.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
 	decoded, err := png.Decode(bytes.NewReader(raw))
 	if err != nil {
 		http.Error(w, "invalid frame_png: "+err.Error(), http.StatusUnprocessableEntity)
@@ -160,11 +173,15 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		imu[i] = sensor.Sample{T: smp.T, GyroZ: smp.GyroZ, Accel: smp.Accel, Compass: smp.Compass}
 	}
 	res, err := s.maps.Locate(building, frame, imu)
-	if err != nil {
-		if errors.Is(err, mapserve.ErrUnknownBuilding) {
-			http.NotFound(w, r)
-			return
-		}
+	var small *keyframe.FrameSizeError
+	switch {
+	case errors.Is(err, mapserve.ErrUnknownBuilding):
+		http.NotFound(w, r)
+		return
+	case errors.As(err, &small):
+		http.Error(w, "invalid frame_png: "+small.Error(), http.StatusUnprocessableEntity)
+		return
+	case err != nil:
 		http.Error(w, fmt.Sprintf("locate: %v", err), http.StatusInternalServerError)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"image"
 	"image/png"
 	"io"
 	"net/http"
@@ -250,6 +251,26 @@ func TestLocateEndpoint(t *testing.T) {
 	}
 }
 
+// framePNGBody wraps raw PNG bytes in a locate request body.
+func framePNGBody(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	body, err := json.Marshal(&LocateRequest{FramePNG: base64.StdEncoding.EncodeToString(raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// blankFrameBody is a locate request carrying a w×h gray frame.
+func blankFrameBody(t *testing.T, w, h int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := png.Encode(&buf, image.NewGray(image.Rect(0, 0, w, h))); err != nil {
+		t.Fatal(err)
+	}
+	return framePNGBody(t, buf.Bytes())
+}
+
 func TestLocateEndpointErrors(t *testing.T) {
 	_, ts, c, kfs := newMapServer(t)
 	good := locateBody(t, c, kfs[0])
@@ -264,6 +285,15 @@ func TestLocateEndpointErrors(t *testing.T) {
 		{"malformed json", serveBuilding, []byte("{nope"), http.StatusUnprocessableEntity},
 		{"bad base64", serveBuilding, []byte(`{"frame_png":"!!!"}`), http.StatusUnprocessableEntity},
 		{"not a png", serveBuilding, []byte(`{"frame_png":"` + base64.StdEncoding.EncodeToString([]byte("text")) + `"}`), http.StatusUnprocessableEntity},
+		// A header-only PNG declaring 2049×2049 (just over MaxFramePixels)
+		// is refused from its header, before any pixel is allocated.
+		{"declared canvas over the pixel cap", serveBuilding, framePNGBody(t, pngHeader(2049, 2049)), http.StatusRequestEntityTooLarge},
+		// Frames smaller than one HOG block (16 px at the defaults) could
+		// never have been key-frames.
+		{"1x1 frame", serveBuilding, blankFrameBody(t, 1, 1), http.StatusUnprocessableEntity},
+		{"15x15 frame", serveBuilding, blankFrameBody(t, 15, 15), http.StatusUnprocessableEntity},
+		{"128x1 frame", serveBuilding, blankFrameBody(t, 128, 1), http.StatusUnprocessableEntity},
+		{"16x16 frame", serveBuilding, blankFrameBody(t, 16, 16), http.StatusOK},
 	}
 	for _, tc := range cases {
 		resp := postLocate(t, ts, tc.building, tc.body)

@@ -4,6 +4,8 @@
 // key-frame comparison — a cheap weighted combination of color indexing,
 // shape matching and wavelet signatures (score S1, threshold hs) gating the
 // precise SURF mutual-nearest-neighbor match (score S2, thresholds hd, hf).
+// HOG is a selection-only gate: Extract keeps only the last key-frame's
+// descriptor, and nothing after selection computes or stores one.
 package keyframe
 
 import (
@@ -23,8 +25,9 @@ import (
 	"crowdmap/internal/world"
 )
 
-// KeyFrame is a selected video frame with all derived features and the
-// trajectory context needed by aggregation and panorama generation.
+// KeyFrame is a selected video frame with the features the hierarchical
+// comparison reads (not the HOG that selected it) and the trajectory
+// context needed by aggregation and panorama generation.
 type KeyFrame struct {
 	T float64
 	// Image is retained for panorama stitching.
@@ -38,7 +41,6 @@ type KeyFrame struct {
 	// TruthPose is ground truth, for evaluation only.
 	TruthPose world.Pose
 
-	HOG     hog.Descriptor
 	Hist    *histogram.Hist
 	Shape   *shape.Descriptor
 	Wavelet *wavelet.Signature
@@ -235,20 +237,10 @@ func Extract(c *crowd.Capture, p Params) ([]*KeyFrame, *trajectory.Trajectory, e
 			Heading:   headings[imuIdx],
 			LocalPos:  pos,
 			TruthPose: f.TruthPose,
-			HOG:       hd,
 		}
-		if kf.Hist, err = histogram.Compute(f.Image, p.HistBins); err != nil {
+		if err := kf.describe(luma, p); err != nil {
 			return nil, nil, err
 		}
-		if kf.Shape, err = shape.Compute(luma, p.Shape); err != nil {
-			return nil, nil, err
-		}
-		if kf.Wavelet, err = wavelet.Compute(luma, p.Wavelet); err != nil {
-			return nil, nil, err
-		}
-		kf.WaveletFlat = kf.Wavelet.Flatten()
-		kf.SURF = surf.Extract(luma, p.SURF)
-		kf.SURFIndex = surf.NewIndex(kf.SURF)
 		img.ReleaseGray(luma)
 		kfs = append(kfs, kf)
 	}
@@ -268,6 +260,52 @@ func Extract(c *crowd.Capture, p Params) ([]*KeyFrame, *trajectory.Trajectory, e
 	p.Obs.Counter("keyframe.kept").Add(int64(len(kfs)))
 	p.Obs.Counter("keyframe.dropped").Add(int64(len(c.Frames) - len(kfs)))
 	return kfs, traj, nil
+}
+
+// FrameSizeError reports a frame smaller than the smallest frame Extract
+// accepts: one HOG block of cells on each side.
+type FrameSizeError struct{ W, H, Min int }
+
+func (e *FrameSizeError) Error() string {
+	return fmt.Sprintf("keyframe: frame %dx%d is below the %dx%d minimum", e.W, e.H, e.Min, e.Min)
+}
+
+// Describe extracts one frame's compared features as Extract does for a
+// key-frame it keeps, such as a localization query: no trajectory context,
+// the frame retained as Image. A frame Extract would refuse is a
+// *FrameSizeError.
+func Describe(frame *img.RGB, p Params) (*KeyFrame, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if side := p.HOG.BlockSize * p.HOG.CellSize; frame.W < side || frame.H < side {
+		return nil, &FrameSizeError{W: frame.W, H: frame.H, Min: side}
+	}
+	luma := img.AcquireGray(frame.W, frame.H)
+	defer img.ReleaseGray(luma)
+	frame.LumaInto(luma)
+	kf := &KeyFrame{Image: frame}
+	if err := kf.describe(luma, p); err != nil {
+		return nil, err
+	}
+	return kf, nil
+}
+
+// describe fills the compared features from kf.Image and its luma plane.
+func (kf *KeyFrame) describe(luma *img.Gray, p Params) (err error) {
+	if kf.Hist, err = histogram.Compute(kf.Image, p.HistBins); err != nil {
+		return err
+	}
+	if kf.Shape, err = shape.Compute(luma, p.Shape); err != nil {
+		return err
+	}
+	if kf.Wavelet, err = wavelet.Compute(luma, p.Wavelet); err != nil {
+		return err
+	}
+	kf.WaveletFlat = kf.Wavelet.Flatten()
+	kf.SURF = surf.Extract(luma, p.SURF)
+	kf.SURFIndex = surf.NewIndex(kf.SURF)
+	return nil
 }
 
 func absAngle(a float64) float64 {

@@ -1,10 +1,13 @@
 package keyframe
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"crowdmap/internal/crowd"
 	"crowdmap/internal/geom"
+	"crowdmap/internal/img"
 	"crowdmap/internal/mathx"
 	"crowdmap/internal/world"
 )
@@ -79,15 +82,53 @@ func TestExtractThinsFramesAndTracksTruth(t *testing.T) {
 			t.Errorf("key-frame at t=%.1f drifts %0.2f m after alignment", kf.T, d)
 		}
 	}
-	// Features are populated; SWS key-frames drop their pixels (only
-	// stationary SRS frames feed panoramas).
+	// The compared features are populated; SWS key-frames drop their
+	// pixels (only stationary SRS frames feed panoramas).
 	for _, kf := range kfs {
-		if kf.Hist == nil || kf.Shape == nil || kf.Wavelet == nil || len(kf.HOG) == 0 {
+		if kf.Hist == nil || kf.Shape == nil || kf.Wavelet == nil || kf.WaveletFlat == nil || kf.SURFIndex == nil {
 			t.Fatal("key-frame features missing")
 		}
 		if kf.Image != nil && kf.LocalPos.Dist(traj.Points[0].Pos) > 1.0 {
 			t.Fatal("walking key-frame retained its image")
 		}
+	}
+}
+
+// TestDescribeMatchesExtract pins the query path to the key-frame path:
+// describing a kept key-frame's source frame yields the same features,
+// and a frame smaller than one HOG block is refused with a typed error.
+func TestDescribeMatchesExtract(t *testing.T) {
+	c := testCapture(t, world.Lab2(), geom.P(3, 7.5), geom.P(14, 7.5), 31)
+	p := DefaultParams()
+	kfs, _, err := Extract(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byTime := make(map[float64]*img.RGB, len(c.Frames))
+	for i := range c.Frames {
+		byTime[c.Frames[i].T] = c.Frames[i].Image
+	}
+	for i, kf := range kfs {
+		d, err := Describe(byTime[kf.T], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d.Hist, kf.Hist) || !reflect.DeepEqual(d.Shape, kf.Shape) ||
+			!reflect.DeepEqual(d.Wavelet, kf.Wavelet) || !reflect.DeepEqual(d.WaveletFlat, kf.WaveletFlat) ||
+			!reflect.DeepEqual(d.SURF, kf.SURF) {
+			t.Fatalf("key-frame %d: described features differ from extracted ones", i)
+		}
+	}
+	side := p.HOG.BlockSize * p.HOG.CellSize
+	for _, wh := range [][2]int{{1, 1}, {side - 1, side - 1}, {side - 1, 120}, {128, 1}} {
+		_, err := Describe(img.NewRGB(wh[0], wh[1]), p)
+		var fse *FrameSizeError
+		if !errors.As(err, &fse) || fse.Min != side {
+			t.Errorf("%dx%d frame: error %v, want *FrameSizeError with minimum %d", wh[0], wh[1], err, side)
+		}
+	}
+	if _, err := Describe(img.NewRGB(side, side), p); err != nil {
+		t.Errorf("%dx%d frame refused: %v", side, side, err)
 	}
 }
 

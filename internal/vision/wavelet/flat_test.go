@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"reflect"
 	"testing"
 
 	"crowdmap/internal/mathx"
@@ -71,5 +72,21 @@ func TestFlattenSortsAndPreservesSigns(t *testing.T) {
 	}
 	if f.Size != s.Size || f.Average != s.Average {
 		t.Fatalf("flatten lost header: %+v", f)
+	}
+}
+
+// TestFlatSignatureRoundTrip pins the inverse the localization index
+// decodes with: Flatten then Signature restores the map form exactly, and
+// a Flat whose slices disagree in length converts without panicking.
+func TestFlatSignatureRoundTrip(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		s := randomSignature(seed, 64, 5+int(seed)*17)
+		if got := s.Flatten().Signature(); !reflect.DeepEqual(got, s) {
+			t.Fatalf("seed %d: round trip changed the signature", seed)
+		}
+	}
+	short := &Flat{Size: 8, Idx: []int32{1, 2, 3}, Sign: []int8{1}}
+	if got := short.Signature(); len(got.Coeffs) != 1 || got.Coeffs[1] != 1 {
+		t.Fatalf("mismatched Flat converted to %v, want only index 1", got.Coeffs)
 	}
 }

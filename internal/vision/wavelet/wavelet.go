@@ -126,6 +126,17 @@ func (s *Signature) Flatten() *Flat {
 	return f
 }
 
+// Signature converts the sorted-slice form back to the map form. It
+// pairs indices and signs only as far as both slices reach, so a
+// malformed decoded Flat cannot make it panic.
+func (f *Flat) Signature() *Signature {
+	s := &Signature{Size: f.Size, Average: f.Average, Coeffs: make(map[int]int8, len(f.Idx))}
+	for i := 0; i < len(f.Idx) && i < len(f.Sign); i++ {
+		s.Coeffs[int(f.Idx[i])] = f.Sign[i]
+	}
+	return s
+}
+
 // SimilarityFlat is Similarity over flattened signatures. The shared-
 // coefficient and sign-agreement counts of the merge join are the same
 // integers the map walk produces, so the returned score is bit-identical.

@@ -428,6 +428,14 @@ else
 		-benchtime "${BENCHGATE_TIME:-10x}" -benchmem . |
 		go run scripts/benchgate.go -mode gate -baseline BENCH_pr10.json \
 			-tolerance "${BENCHGATE_TOLERANCE:-0.30}"
+	# Read-tier ratchet: publishing a reconstructed Lab2 survey into a
+	# WAL-backed store, and one pass of a fixed locate query set (ns/op
+	# covers the whole set; per-query p50/p99 print alongside). Publish
+	# fsyncs like the shipped daemon, so the wide tolerance applies.
+	go test -run '^$' -bench '^(BenchmarkPublish|BenchmarkLocate)$' \
+		-benchtime "${BENCHGATE_TIME:-5x}" -benchmem . |
+		go run scripts/benchgate.go -mode gate -baseline BENCH_pr16.json \
+			-tolerance "${BENCHGATE_TOLERANCE:-0.30}"
 fi
 
 echo "CI gate passed."
