@@ -13,7 +13,6 @@ import (
 	"crowdmap/internal/aggregate"
 	"crowdmap/internal/alphashape"
 	"crowdmap/internal/baseline"
-	"crowdmap/internal/cloud/integrity"
 	"crowdmap/internal/crowd"
 	"crowdmap/internal/eval"
 	"crowdmap/internal/floorplan"
@@ -759,39 +758,5 @@ func BenchmarkKernelIntegralImage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		img.NewIntegralInto(it, luma)
-	}
-}
-
-// ---- integrity-verified persistence (PR 10) ----
-
-// BenchmarkVerifiedTrackDecode times the read path a delta run pays for
-// every reused persisted track: integrity-envelope verification (one
-// SHA-256 pass over the artifact) followed by DecodeTrack (gunzip, gob,
-// derived-structure rebuild). The ratchet pins the envelope's overhead
-// staying marginal next to the decode it protects.
-func BenchmarkVerifiedTrackDecode(b *testing.B) {
-	captures := benchCaptures(b, world.Lab2(), 1, 0, 19)
-	c := captures[0]
-	kfs, traj, err := extractTrack(c, DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	track := &aggregate.Track{ID: c.ID, Traj: traj, KFs: kfs, Night: c.Night, Hash: "bench"}
-	data, err := aggregate.EncodeTrack(track)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wrapped := integrity.Wrap(data)
-	b.SetBytes(int64(len(wrapped)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		payload, err := integrity.Unwrap(wrapped)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := aggregate.DecodeTrack(payload); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 // built from the wrong capture set renders different bytes and the
 // DeepEqual-against-clean-run invariant has teeth. It checkpoints the
 // plan stage like the real pipeline.
-func chaosReconstruct(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config) (*crowdmap.Result, error) {
+func chaosReconstruct(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 	fp := crowdmap.CorpusFingerprint(captures)
 	res := stubResult(cfg.JobID)
 	mask := res.Plan.HallwayMask

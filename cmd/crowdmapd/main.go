@@ -17,23 +17,25 @@
 //	          [-snapshot store.json] [-hypotheses N] [-workers N]
 //	          [-building-workers N] [-max-inflight-mb N] [-client-chunk-rate R]
 //	          [-client-chunk-burst N] [-chunk-body-timeout D] [-drain-timeout D]
-//	          [-quality lenient] [-mode vision] [-stage-budget D] [-delta]
+//	          [-quality lenient] [-mode vision] [-stage-budget D]
 //	          [-rebuild-every N] [-index-cache N] [-scrub-interval D] [-metrics]
 //
 // Reconstruction is scheduled per building: every -interval the capture
 // corpus is scanned and grouped by building, and buildings whose corpus
 // fingerprint changed are enqueued on a pool of -building-workers
 // concurrent reconstruction jobs (one job per building at a time, fair
-// FIFO between buildings). With -delta each building keeps incremental
-// reconstruction state across cycles: a new upload costs only its own
-// key-frame extraction and its pair comparisons against the existing
-// corpus, with the occupancy grid patched and unchanged rooms reused —
-// the plan is byte-identical to a full rebuild. -rebuild-every N forces
-// a full rebuild every N-th cycle per building as a correctness backstop
-// (0 = never); progress is visible on the reconstruct.delta.* metrics. The upload path applies admission control: a
-// global in-flight chunk-byte budget (-max-inflight-mb) and a per-client
-// token bucket (-client-chunk-rate/-client-chunk-burst) answer saturation
-// with 429 + Retry-After instead of queueing without bound.
+// FIFO between buildings). Each building keeps incremental
+// reconstruction state in memory across cycles: a new upload costs only
+// its own key-frame extraction and its pair comparisons against the
+// existing corpus, with the occupancy grid patched and unchanged rooms
+// reused — the plan is byte-identical to a full rebuild. The first
+// change to a building after a restart is a full rebuild. -rebuild-every
+// N forces a full rebuild every N-th cycle per building as a correctness
+// backstop (0 = never); progress is visible on the reconstruct.delta.*
+// metrics. The upload path applies admission control: a global in-flight
+// chunk-byte budget (-max-inflight-mb) and a per-client token bucket
+// (-client-chunk-rate/-client-chunk-burst) answer saturation with 429 +
+// Retry-After instead of queueing without bound.
 //
 // Input quality is gated twice with one -quality policy (off | lenient |
 // strict): a completed upload failing validation is refused with 422 and
@@ -60,9 +62,9 @@
 // daemon is memory-only (the legacy -snapshot flag still saves/loads a
 // JSON dump at exit/start).
 //
-// Every derived artifact above the WAL — checkpoints, track artifacts,
-// the pair-cache export, SVG plans, and the read tier's plan records and
-// localization indexes — is persisted under an integrity envelope
+// Every derived artifact above the WAL — checkpoints, the pair-cache
+// export, SVG plans, and the read tier's plan records and localization
+// indexes — is persisted under an integrity envelope
 // (internal/cloud/integrity) and verified on every read: a flipped bit is
 // quarantined and counted (integrity.*), never served, and the owning
 // subsystem recomputes the artifact from surviving inputs. A paced
@@ -93,6 +95,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -127,8 +130,7 @@ func main() {
 		qualityArg = flag.String("quality", "lenient", "capture quality gate: off | lenient | strict (applied at upload admission and again before reconstruction)")
 		modeArg    = flag.String("mode", "vision", "reconstruction modalities: vision | trajectory | hybrid (trajectory/hybrid also admit IMU-only uploads)")
 		stageTO    = flag.Duration("stage-budget", 0, "soft wall-clock budget per reconstruction stage; overruns are counted on pipeline.budget.exceeded, never cancelled (0 = off)")
-		delta      = flag.Bool("delta", false, "incremental reconstruction: reuse per-capture stage artifacts across cycles so a new upload costs O(delta), not O(corpus)")
-		rebuildN   = flag.Int("rebuild-every", 16, "with -delta, force a full rebuild every N-th cycle per building as a correctness backstop (0 = never)")
+		rebuildN   = flag.Int("rebuild-every", 16, "force a full rebuild every N-th reconstruction of a building as a correctness backstop (0 = never)")
 		indexCache = flag.Int("index-cache", mapserve.DefaultIndexCacheSize, "buildings whose decoded localization index stays in memory (LRU); raise for many hot buildings, lower under memory pressure")
 		scrubInt   = flag.Duration("scrub-interval", 10*time.Minute, "background integrity-scrub interval over persisted artifacts (0 = off; one pass also runs at startup)")
 	)
@@ -240,7 +242,6 @@ func main() {
 	proc.quality = gateParams
 	proc.mode = mode
 	proc.stageBudget = *stageTO
-	proc.delta = *delta
 	proc.rebuildEvery = *rebuildN
 	proc.maps = maps
 	proc.scrubPace = time.Millisecond
@@ -309,6 +310,12 @@ func main() {
 	}
 	cancelDrain()
 	proc.sched.Close()
+	// The delta memos are dead once no job can run. Release and collect
+	// them before WAL compaction, which allocates a few times the log's
+	// size and would otherwise do so on top of every building's memo,
+	// raising the daemon's peak RSS at exit.
+	proc.dropDeltaStates()
+	runtime.GC()
 	// 3. Flush state: HTTP listener, pair cache, WAL.
 	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelHTTP()

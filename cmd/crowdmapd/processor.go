@@ -80,19 +80,14 @@ type processor struct {
 	cache *crowdmap.PairCache
 	// sched serializes and parallelizes building jobs; created by start.
 	sched *sched.Scheduler
-	// reconstruct is the pipeline entry point; a field so tests can
-	// substitute a stub.
-	reconstruct func(ctx context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config) (*crowdmap.Result, error)
-	// delta switches reconstruction to the incremental entry point: each
-	// building keeps a DeltaState across cycles, so a new upload costs
-	// only its own extraction and pair comparisons instead of a full
-	// rebuild. rebuildEvery forces a periodic full rebuild as a
+	// reconstruct is the pipeline entry point (crowdmap.ReconstructDelta);
+	// a field so tests can substitute a stub. Each building keeps a
+	// DeltaState across cycles, so a new upload costs only its own
+	// extraction and pair comparisons instead of a full rebuild.
+	reconstruct func(ctx context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, state *crowdmap.DeltaState) (*crowdmap.Result, error)
+	// rebuildEvery forces a periodic full rebuild per building as a
 	// correctness backstop (0 = never).
-	delta        bool
 	rebuildEvery int
-	// reconstructDelta is the incremental entry point; a field so tests
-	// can substitute a stub.
-	reconstructDelta func(ctx context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, state *crowdmap.DeltaState) (*crowdmap.Result, error)
 	// maps, when non-nil, receives each completed reconstruction through
 	// Publish: the read tier's versioned plan + localization index swap.
 	// Publish failures are logged and counted, never failed — the SVG plan
@@ -108,10 +103,10 @@ type processor struct {
 	scrubPace time.Duration
 
 	mu sync.Mutex
-	// deltaStates holds each building's memoized stage artifacts when
-	// delta mode is on. Guarded by mu; the per-building scheduler never
-	// runs two jobs for one building concurrently, so each state sees
-	// serial runs.
+	// deltaStates holds each building's memoized stage artifacts, in
+	// memory only. Guarded by mu; the per-building scheduler never runs
+	// two jobs for one building concurrently, so each state sees serial
+	// runs.
 	deltaStates map[string]*crowdmap.DeltaState
 	// failures counts, per capture, how many reconstruction attempts it has
 	// made fail; at maxCaptureFailures the capture is dead-lettered. A
@@ -141,9 +136,7 @@ func newProcessor(st *store.Store, hypotheses, workers int) *processor {
 		failures:    make(map[string]int),
 		meta:        make(map[string]captureMeta),
 		deltaStates: make(map[string]*crowdmap.DeltaState),
-
-		reconstruct:      crowdmap.ReconstructContext,
-		reconstructDelta: crowdmap.ReconstructDelta,
+		reconstruct: crowdmap.ReconstructDelta,
 	}
 }
 
@@ -363,17 +356,20 @@ func (p *processor) serveHealthy(building string) bool {
 }
 
 // healthMarker summarizes the building's persisted-artifact health for
-// the scan fingerprint.
+// the scan fingerprint. For the read tier it checks presence only, and
+// hashes nothing: rot is found by the scrubber and by every verified
+// read, both of which quarantine it, and quarantine removes the document
+// and flips the marker. The job then runs the full Verify (serveHealthy).
 func (p *processor) healthMarker(building string) string {
 	serve := "off"
 	if p.maps != nil {
-		switch published, err := p.maps.Verify(building); {
-		case err != nil:
-			serve = "bad"
-		case !published:
-			serve = "unpublished"
-		default:
+		switch published, present := p.maps.Stored(building); {
+		case present:
 			serve = "ok"
+		case published:
+			serve = "missing"
+		default:
+			serve = "unpublished"
 		}
 	}
 	// The marker carries the committed corpus fingerprint (not just a
@@ -519,25 +515,46 @@ func storeKey(keyByID map[string]string, id string) string {
 	return id
 }
 
-// deltaState returns (creating on first use) the building's persistent
-// delta-reconstruction state.
+// deltaState returns (creating on first use) the building's in-memory
+// delta-reconstruction state. Creating it also drops the per-capture
+// "track/<fingerprint>" journal records that daemons before the
+// in-memory memo wrote: nothing reads them, and they would otherwise
+// stay in the WAL for good.
 func (p *processor) deltaState(building string) *crowdmap.DeltaState {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := p.deltaStates[building]
-	if st == nil {
+	st, ok := p.deltaStates[building]
+	if !ok {
 		st = crowdmap.NewDeltaState()
 		p.deltaStates[building] = st
+	}
+	p.mu.Unlock()
+	if !ok {
+		for _, stage := range p.journal.Stages(building) {
+			if strings.HasPrefix(stage, "track/") {
+				_ = p.journal.Drop(building, stage)
+			}
+		}
 	}
 	return st
 }
 
-// reconstructBuilding runs one building's corpus through the pipeline.
-// On a poison-capture failure it quarantines the capture and immediately
-// retries with the rest; on cancellation it returns without charging any
-// capture; on success it resets the failure count of every capture the
-// cycle included and checkpoints the pair cache.
+// dropDeltaStates releases every building's memo; the next job of each
+// building would be a cold build. The daemon calls it at shutdown, once
+// the scheduler is closed.
+func (p *processor) dropDeltaStates() {
+	p.mu.Lock()
+	clear(p.deltaStates)
+	p.mu.Unlock()
+}
+
+// reconstructBuilding runs one building's corpus through the pipeline,
+// over the building's in-memory delta state. On a poison-capture failure
+// it quarantines the capture and immediately retries with the rest; on
+// cancellation it returns without charging any capture; on success it
+// resets the failure count of every capture the cycle included and
+// checkpoints the pair cache.
 func (p *processor) reconstructBuilding(ctx context.Context, building string, captures []*crowdmap.Capture, keyByID map[string]string) error {
+	state := p.deltaState(building)
 	for {
 		if len(captures) < 3 {
 			log.Printf("%s: only %d captures, waiting for more", building, len(captures))
@@ -568,18 +585,12 @@ func (p *processor) reconstructBuilding(ctx context.Context, building string, ca
 		cfg.Quality = p.quality
 		cfg.Mode = p.mode
 		cfg.StageBudget = p.stageBudget
+		// The shared daemon pair cache is passed as cfg.PairCache above, so
+		// a delta-state reset (config change or rebuild backstop) never
+		// flushes it — it has its own signature-based invalidation.
+		cfg.DeltaRebuildEvery = p.rebuildEvery
 		start := time.Now()
-		var res *crowdmap.Result
-		var err error
-		if p.delta {
-			// The shared daemon pair cache is passed as cfg.PairCache above,
-			// so a delta-state reset (config change or rebuild backstop)
-			// never flushes it — it has its own signature-based invalidation.
-			cfg.DeltaRebuildEvery = p.rebuildEvery
-			res, err = p.reconstructDelta(ctx, captures, cfg, p.deltaState(building))
-		} else {
-			res, err = p.reconstruct(ctx, captures, cfg)
-		}
+		res, err := p.reconstruct(ctx, captures, cfg, state)
 		if err != nil {
 			if isTransient(err) {
 				// Shutdown or a per-attempt deadline, not the data's fault:

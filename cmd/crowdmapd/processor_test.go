@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,7 +105,7 @@ func TestProcessorQuarantinesPoisonCapture(t *testing.T) {
 	poison := ids[1]
 
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		for _, c := range captures {
 			if c.ID == poison {
 				return nil, fmt.Errorf("stage 1: %w",
@@ -157,7 +159,7 @@ func TestProcessorSkipsCompletedJob(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 2)
 	var calls int32
-	stub := func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config) (*crowdmap.Result, error) {
+	stub := func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		atomic.AddInt32(&calls, 1)
 		// Mimic the real pipeline's final checkpoint.
 		if err := cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePlan,
@@ -206,7 +208,7 @@ func TestProcessorReconstructsOnSwap(t *testing.T) {
 	var mu sync.Mutex
 	var lastCorpus []string
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		atomic.AddInt32(&calls, 1)
 		mu.Lock()
 		lastCorpus = nil
@@ -256,7 +258,7 @@ func TestTransientFailureNotCountedTowardQuarantine(t *testing.T) {
 	ids := seedCaptures(t, st, "Lab2", 3, 2)
 	victim := ids[0]
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(ctx context.Context, _ []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(ctx context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		// A shutdown interrupts key-frame extraction of the victim.
 		return nil, fmt.Errorf("stage 1: %w",
 			&crowdmap.CaptureError{CaptureID: victim, Err: context.Canceled})
@@ -281,7 +283,7 @@ func TestTransientFailureNotCountedTowardQuarantine(t *testing.T) {
 	}
 
 	// DeadlineExceeded (per-attempt retry deadline) is equally transient.
-	proc.reconstruct = func(ctx context.Context, _ []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(ctx context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return nil, fmt.Errorf("stage 2: %w", context.DeadlineExceeded)
 	}
 	if err := proc.reconstructBuilding(context.Background(), "Lab2", captures, keyByID); err == nil {
@@ -302,7 +304,7 @@ func TestSuccessResetsFailureCounts(t *testing.T) {
 	proc.mu.Lock()
 	proc.failures[ids[2]] = maxCaptureFailures - 1 // one strike from quarantine
 	proc.mu.Unlock()
-	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return stubResult("Lab2"), nil
 	}
 	if err := proc.runOnce(context.Background()); err != nil {
@@ -328,7 +330,7 @@ func TestReconstructBuildingQuarantineRetryLoop(t *testing.T) {
 	proc.failures[poison] = maxCaptureFailures - 1 // next strike quarantines
 	proc.mu.Unlock()
 	var calls int32
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		atomic.AddInt32(&calls, 1)
 		for _, c := range captures {
 			if c.ID == poison {
@@ -369,7 +371,7 @@ func TestProcessorDeadLettersExcludedCaptures(t *testing.T) {
 	ids := seedCaptures(t, st, "Lab2", 4, 2)
 	bad := ids[2]
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		if cfg.Quality == nil {
 			t.Error("processor did not pass quality params to the pipeline")
 		}
@@ -427,7 +429,7 @@ func TestProcessorDeadLetterUsesStoreKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		res := stubResult("Lab2")
 		res.Excluded = []crowdmap.Exclusion{{
 			CaptureID: declared, // the pipeline only knows the declared ID
@@ -493,7 +495,7 @@ func TestProcessorOverlappingBuildings(t *testing.T) {
 	var cur, peak int32
 	release := make(chan struct{})
 	started := make(chan string, len(buildings))
-	proc.reconstruct = func(ctx context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(ctx context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		b := captures[0].Geo.Building
 		mu.Lock()
 		inflight[b]++
@@ -552,7 +554,7 @@ func TestScanQuarantinesUndecodableCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return stubResult("Lab2"), nil
 	}
 	for i := 0; i < maxCaptureFailures; i++ {
@@ -568,26 +570,57 @@ func TestScanQuarantinesUndecodableCapture(t *testing.T) {
 	}
 }
 
-// TestProcessorDeltaMode pins the -delta wiring: with delta on, building
-// jobs go through the incremental entry point with a per-building state
-// that persists across cycles, and the rebuild-interval knob reaches the
-// pipeline config. Two buildings must never share a state.
+// TestProcessorDeltaMode pins the daemon's one reconstruction path: the
+// default processor runs the real delta pipeline, so after an upload the
+// building's second job reuses every track the first one extracted and
+// extracts only the new capture's.
 func TestProcessorDeltaMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real pipeline twice")
+	}
+	st := store.New()
+	seedCaptures(t, st, "Lab2", 3, 20)
+	proc := newTestProcessor(t, st, 1)
+	ctx := context.Background()
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	first := proc.obs.Snapshot().Counters
+	if got := first["reconstruct.delta.tracks.extracted"]; got != 3 {
+		t.Fatalf("first job extracted %d tracks, want 3", got)
+	}
+	seedCaptures(t, st, "Lab2", 1, 90)
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	second := proc.obs.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"reconstruct.delta.runs":             1,
+		"reconstruct.delta.tracks.reused":    3,
+		"reconstruct.delta.tracks.extracted": 1,
+	} {
+		if got := second[name] - first[name]; got != want {
+			t.Errorf("second job: %s advanced by %d, want %d", name, got, want)
+		}
+	}
+	if !proc.planIntact("Lab2") {
+		t.Error("no plan stored after the second job")
+	}
+}
+
+// TestProcessorDeltaStatePerBuilding pins the processor's state wiring:
+// each building gets its own DeltaState that persists across cycles, and
+// the rebuild-interval knob reaches the pipeline config.
+func TestProcessorDeltaStatePerBuilding(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab1", 3, 2)
 	seedCaptures(t, st, "Lab2", 3, 20)
 
 	proc := newTestProcessor(t, st, 1)
-	proc.delta = true
 	proc.rebuildEvery = 5
 	var mu sync.Mutex
 	states := make(map[string][]*crowdmap.DeltaState)
-	var fullCalls atomic.Int64
-	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
-		fullCalls.Add(1)
-		return nil, errors.New("batch entry point used in delta mode")
-	}
-	proc.reconstructDelta = func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, state *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, state *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		if state == nil {
 			return nil, errors.New("nil delta state")
 		}
@@ -612,9 +645,6 @@ func TestProcessorDeltaMode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := fullCalls.Load(); n != 0 {
-		t.Errorf("batch entry point called %d times in delta mode", n)
-	}
 	mu.Lock()
 	defer mu.Unlock()
 	for _, b := range []string{"Lab1", "Lab2"} {
@@ -630,6 +660,123 @@ func TestProcessorDeltaMode(t *testing.T) {
 	}
 }
 
+// TestProcessorDropsLegacyTrackRecords: the per-capture track records
+// older daemons journaled are dropped by the building's first job, and
+// the building's other checkpoints stay.
+func TestProcessorDropsLegacyTrackRecords(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", 3, 20)
+	proc := newTestProcessor(t, st, 1)
+	for _, stage := range []string{"track/aa", "track/bb", crowdmap.StagePairs} {
+		if err := proc.journal.Complete("Lab2", stage, "fp", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := proc.journal.Complete("Lab1", "track/cc", "fp", nil); err != nil {
+		t.Fatal(err)
+	}
+	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		return stubResult("Lab2"), nil
+	}
+	if err := proc.runOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := proc.journal.Stages("Lab2"); !reflect.DeepEqual(got, []string{crowdmap.StagePairs}) {
+		t.Errorf("Lab2 stages after first job = %v, want only %q", got, crowdmap.StagePairs)
+	}
+	// Lab1 has no captures, so no job: its records wait for its first one.
+	if got := proc.journal.Stages("Lab1"); len(got) != 1 {
+		t.Errorf("Lab1 stages = %v, want its record untouched", got)
+	}
+}
+
+// servedPlan returns the stored SVG plan and the served ETag of one
+// building.
+func servedPlan(t *testing.T, proc *processor, building string) ([]byte, string) {
+	t.Helper()
+	svg, ok, err := proc.keep.Get(server.CollPlans, building)
+	if err != nil || !ok {
+		t.Fatalf("no stored plan: (%v, %v)", ok, err)
+	}
+	pv, ok := proc.maps.Plan(building)
+	if !ok {
+		t.Fatal("no served plan")
+	}
+	return svg, pv.ETag
+}
+
+// realProcessor is newTestProcessor with the read tier attached and the
+// default (real) reconstruction.
+func realProcessor(t *testing.T, st *store.Store) *processor {
+	t.Helper()
+	proc := newTestProcessor(t, st, 1)
+	maps, err := mapserve.New(st, mapserve.WithObs(proc.obs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.maps = maps
+	return proc
+}
+
+// TestProcessorDeltaMatchesFreshProcessor is the daemon-level parity
+// pin for the always-on delta path: a warm processor fed captures one at
+// a time, then losing one to the dead-letter collection, must store the
+// same SVG and serve the same ETag after every step as a fresh
+// processor reconstructing the same captures cold.
+func TestProcessorDeltaMatchesFreshProcessor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real pipeline cold and warm at every step")
+	}
+	const building = "Lab2"
+	pool := store.New()
+	ids := seedCaptures(t, pool, building, 5, 30)
+	st := store.New()
+	warm := realProcessor(t, st)
+	ctx := context.Background()
+
+	check := func(step string) {
+		t.Helper()
+		if err := warm.runOnce(ctx); err != nil {
+			t.Fatalf("%s: warm run: %v", step, err)
+		}
+		fresh := store.New()
+		for _, id := range st.Keys(server.CollCaptures) {
+			data, _ := st.Get(server.CollCaptures, id)
+			if err := fresh.Put(server.CollCaptures, id, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cold := realProcessor(t, fresh)
+		if err := cold.runOnce(ctx); err != nil {
+			t.Fatalf("%s: cold run: %v", step, err)
+		}
+		gotSVG, gotETag := servedPlan(t, warm, building)
+		wantSVG, wantETag := servedPlan(t, cold, building)
+		if !bytes.Equal(gotSVG, wantSVG) {
+			t.Errorf("%s: warm plan SVG differs from a cold rebuild (%d vs %d bytes)", step, len(gotSVG), len(wantSVG))
+		}
+		if gotETag != wantETag {
+			t.Errorf("%s: warm ETag %.12s, cold %.12s", step, gotETag, wantETag)
+		}
+	}
+	for i, id := range ids {
+		data, _ := pool.Get(server.CollCaptures, id)
+		if err := st.Put(server.CollCaptures, id, data); err != nil {
+			t.Fatal(err)
+		}
+		if i >= 2 {
+			check(fmt.Sprintf("%d captures", i+1))
+		}
+	}
+	warm.mu.Lock()
+	warm.quarantineLocked(ids[1], "test")
+	warm.mu.Unlock()
+	check("after dead-lettering " + ids[1])
+	if got := warm.obs.Snapshot().Counters["reconstruct.delta.tracks.reused"]; got == 0 {
+		t.Error("warm processor never reused a track")
+	}
+}
+
 // TestProcessorPublishesToReadTier: completing a reconstruction publishes
 // the result to the read tier (servable at version 1), and a later cycle
 // that reconstructs identical content leaves the served version alone.
@@ -642,7 +789,7 @@ func TestProcessorPublishesToReadTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc.maps = maps
-	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return stubResult("Lab2"), nil
 	}
 

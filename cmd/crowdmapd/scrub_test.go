@@ -31,8 +31,8 @@ func corruptStoredDoc(t *testing.T, st *store.Store, coll, key string) {
 // checkpointingStub returns a reconstruct stub that completes the plan
 // stage in the journal like the real pipeline does, so the processor's
 // skip/repair logic sees realistic checkpoint state.
-func checkpointingStub(runs *atomic.Int64) func(context.Context, []*crowdmap.Capture, crowdmap.Config) (*crowdmap.Result, error) {
-	return func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config) (*crowdmap.Result, error) {
+func checkpointingStub(runs *atomic.Int64) func(context.Context, []*crowdmap.Capture, crowdmap.Config, *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	return func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		runs.Add(1)
 		fp := crowdmap.CorpusFingerprint(captures)
 		_ = cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePlan, fp, nil)

@@ -8,12 +8,6 @@
 // S3 = max_{f∈F} L(Ta, f(Tb)) / min(i, j) exceeds the threshold hl — the
 // sequence check that single-image anchoring lacks and that Fig. 7(a)
 // shows it needs.
-//
-// The package also owns track persistence (trackio.go): EncodeTrack and
-// DecodeTrack are the gob+gzip artifact codec the delta-reconstruction
-// journal and the read tier's localization indexes build on — primary
-// extraction output is stored, derived structures are rebuilt on decode
-// so persisted tracks drive decisions bit-identical to fresh ones.
 package aggregate
 
 import (

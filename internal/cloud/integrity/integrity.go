@@ -1,7 +1,6 @@
 // Package integrity is the artifact-integrity layer for every document
-// persisted above the WAL: checkpoint payloads, track artifacts,
-// pair-cache exports, mapserve index documents and plan records, and
-// rendered plan SVGs. The WAL's CRC framing protects log records in
+// persisted above the WAL: checkpoint payloads, pair-cache exports,
+// mapserve index documents and plan records, and rendered plan SVGs. The WAL's CRC framing protects log records in
 // flight to disk; once a document is replayed into the store and
 // compacted into snapshot.json, nothing re-checks its bytes. This
 // package closes that gap with a versioned checksummed envelope (magic +

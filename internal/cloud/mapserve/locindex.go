@@ -16,14 +16,14 @@ import (
 	"crowdmap/internal/vision/wavelet"
 )
 
-// Localization-index persistence mirrors the track-artifact codec in
-// internal/aggregate/trackio.go: gob+gzip over the primary features the
-// hierarchical comparison reads, with the derived structures (the wavelet
-// signature's map and re-flattened forms, the SURF nearest-neighbor index)
-// rebuilt by deterministic constructors. Publish caches the index it builds from the artifact it
-// encodes, through the same code the decoder runs, so a seeded and a
-// decoded index drive bit-identical comparison decisions. Unlike track
-// artifacts, index entries drop key-frame pixels (Image). Indexes written
+// Localization-index persistence is gob+gzip over the primary features
+// the hierarchical comparison reads, with the derived structures (the
+// wavelet signature's map and re-flattened forms, the SURF
+// nearest-neighbor index) rebuilt by deterministic constructors. Publish
+// caches the index it builds from the artifact it encodes, through the
+// same code the decoder runs, so a seeded and a decoded index drive
+// bit-identical comparison decisions. Index entries drop key-frame
+// pixels (Image). Indexes written
 // when entries still carried a HOG descriptor decode to the same
 // features: gob skips fields the receiving type lacks, and their wavelet
 // field's names and integer kinds match wavelet.Flat's.
@@ -76,6 +76,23 @@ func buildLocArtifact(res *crowdmap.Result, p keyframe.Params) *locArtifact {
 		}
 	}
 	return art
+}
+
+// Gob numbers each type the first time the process encodes it, and those
+// numbers are part of the encoded bytes, which for the index are hashed
+// into the published ETag. Encoding both artifact types once at init
+// fixes their numbers before any other gob use in the process, so an
+// ETag depends on the plan's content alone, not on what the process
+// encoded earlier. The order (index, then plan record) is the order the
+// first Publish in a fresh process encodes them, which keeps ETags
+// published before this registration existed.
+func init() {
+	enc := gob.NewEncoder(io.Discard)
+	for _, v := range []any{&locArtifact{}, &planRecord{}} {
+		if err := enc.Encode(v); err != nil {
+			panic(fmt.Sprintf("mapserve: register gob type %T: %v", v, err))
+		}
+	}
 }
 
 // encodeLocIndex serializes an index artifact (gob into gzip).

@@ -25,8 +25,8 @@
 // placed key-frame's global pose is the answer. An optional IMU snippet
 // gates candidates by compass heading, mirroring the aggregation
 // anchor-search gate. Indexes hold the compared features only, are
-// persisted gob+gzip per building (the trackio.go artifact idiom: primary
-// features stored, derived structures rebuilt on decode), and live in a
+// persisted gob+gzip per building (primary features stored, derived
+// structures rebuilt on decode), and live in a
 // bounded LRU across buildings: Publish seeds it with the index it just
 // built, and a restarted service loads each building's index lazily.
 package mapserve
@@ -588,8 +588,21 @@ func (s *Service) Verify(building string) (published bool, err error) {
 }
 
 func (s *Service) hasVersionFloor(building string) bool {
-	_, ok := s.st.Get(CollServe, verKey(building))
-	return ok
+	return s.st.Has(CollServe, verKey(building))
+}
+
+// Stored is Verify by presence alone: published as Verify reports it,
+// and present when the plan record and the localization index it names
+// are both in the store. Once the record is in memory it reads and hashes
+// no artifact bytes, so a scan can ask every tick. Rot is found by the
+// scrubber and by verified reads, which quarantine it: that removes the
+// document and turns present false.
+func (s *Service) Stored(building string) (published, present bool) {
+	rec, ok := s.record(building)
+	if !ok {
+		return s.hasVersionFloor(building), false
+	}
+	return true, s.st.Has(CollServe, planKey(building)) && s.st.Has(CollServe, rec.IndexKey)
 }
 
 // globalPose pairs a stored key-frame with its plan-frame pose.

@@ -135,7 +135,7 @@ func (j *Journal) Payload(job, stage, fingerprint string) ([]byte, bool) {
 
 // Stages lists the stage names with a record for one job, in store key
 // order. Composite stage names (e.g. the per-capture "track/<fingerprint>"
-// artifacts the delta path persists) are returned verbatim, so callers
+// artifacts older daemons journaled) are returned verbatim, so callers
 // can enumerate and garbage-collect them.
 func (j *Journal) Stages(job string) []string {
 	if j == nil {

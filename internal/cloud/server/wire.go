@@ -323,8 +323,32 @@ func toImage(m *img.RGB) *image.RGBA {
 	return out
 }
 
-// fromImage converts any decoded image to float RGB planes.
+// fromImage converts any decoded image to float RGB planes. Archive
+// frames decode to *image.RGBA, whose Pix bytes are read directly: v*0x101
+// is exactly what the generic path's RGBA() widens a byte to, so both
+// paths give the same planes bit for bit.
 func fromImage(src image.Image) *img.RGB {
+	m, ok := src.(*image.RGBA)
+	if !ok {
+		return fromImageGeneric(src)
+	}
+	b := m.Bounds()
+	out := img.NewRGB(b.Dx(), b.Dy())
+	for y := 0; y < out.H; y++ {
+		row := m.Pix[m.PixOffset(b.Min.X, b.Min.Y+y):]
+		o := y * out.W
+		for x := 0; x < out.W; x++ {
+			px := row[4*x : 4*x+3 : 4*x+3]
+			out.R[o+x] = float64(uint32(px[0])*0x101) / 65535
+			out.G[o+x] = float64(uint32(px[1])*0x101) / 65535
+			out.B[o+x] = float64(uint32(px[2])*0x101) / 65535
+		}
+	}
+	return out
+}
+
+// fromImageGeneric converts through each pixel's color model.
+func fromImageGeneric(src image.Image) *img.RGB {
 	b := src.Bounds()
 	out := img.NewRGB(b.Dx(), b.Dy())
 	for y := 0; y < b.Dy(); y++ {

@@ -77,6 +77,14 @@ func (s *Store) Get(coll, key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
+// Has reports whether a document exists, without copying it.
+func (s *Store) Has(coll, key string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.colls[coll][key]
+	return ok
+}
+
 // Delete removes a document; deleting a missing document is a no-op. On a
 // WAL-backed store the deletion is logged before it is applied.
 func (s *Store) Delete(coll, key string) error {

@@ -32,10 +32,9 @@ type Descriptor [64]float64
 
 // Feature couples a keypoint with its descriptor.
 //
-// Features are persisted verbatim (gob) by the track-artifact codec in
-// internal/aggregate/trackio.go and the localization-index codec in
-// internal/cloud/mapserve; both rebuild the derived Index with NewIndex on
-// decode. Field changes here change those artifact encodings — and the
+// Features are persisted verbatim (gob) by the localization-index codec
+// in internal/cloud/mapserve, which rebuilds the derived Index with
+// NewIndex on decode. Field changes here change that encoding — and the
 // read tier's content ETags — so they must come with a re-publish story,
 // not a silent format break.
 type Feature struct {

@@ -243,10 +243,6 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 	if cfg.JobID == "" {
 		ckpt = nil
 	}
-	if ds != nil {
-		ds.ckpt = ckpt
-		ds.job = cfg.JobID
-	}
 	fp := ""
 	if ckpt != nil {
 		fp = CorpusFingerprint(captures)

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 
 	"crowdmap/internal/aggregate"
 	"crowdmap/internal/alphashape"
-	"crowdmap/internal/cloud/pipeline"
 	"crowdmap/internal/floorplan"
 	"crowdmap/internal/gridmap"
 	"crowdmap/internal/obs"
@@ -160,16 +158,13 @@ func (s *DeltaState) Clone() *DeltaState {
 // A nil state degrades to ReconstructContext. A config change (detected
 // via an explicit versioned signature over every decision-relevant
 // parameter) resets the state automatically, as does the
-// Config.DeltaRebuildEvery backstop. When Config.JobID and
-// Config.Checkpoints are set, extracted tracks are additionally persisted
-// as per-capture journal artifacts ("track/<fingerprint>" stages), so
-// even a restarted process — with a fresh DeltaState — never re-extracts
-// unchanged captures.
+// Config.DeltaRebuildEvery backstop. The memos live in memory only: a
+// fresh DeltaState (a restarted process) makes its first run a full
+// build.
 //
 // Progress is observable on the reconstruct.delta.* metrics: runs,
-// config_flushes, full_rebuilds, tracks.reused / .journal_loaded /
-// .extracted, rooms.reused / .recomputed, grid.rebuilds / .rasterized /
-// .reused.
+// config_flushes, full_rebuilds, tracks.reused / .extracted,
+// rooms.reused / .recomputed, grid.rebuilds / .rasterized / .reused.
 //
 // A delta Result is a complete Result: Tracks and Aggregation are fully
 // populated (memo hits substitute for recomputation, never for fields),
@@ -206,7 +201,6 @@ func ReconstructDelta(ctx context.Context, captures []*Capture, cfg Config, stat
 	ds := &deltaRun{
 		state:      state,
 		resetEvent: resetReason,
-		trackSig:   trackArtifactSignature(cfg),
 		usedTracks: make(map[string]bool),
 		usedRooms:  make(map[string]bool),
 	}
@@ -218,15 +212,12 @@ func ReconstructDelta(ctx context.Context, captures []*Capture, cfg Config, stat
 }
 
 // deltaRun is the per-run view of a DeltaState: it tracks which memo
-// entries this run touched (for pruning), the run's reset event (for
-// metrics), and the journal handle for per-capture track artifacts.
+// entries this run touched (for pruning) and the run's reset event (for
+// metrics).
 type deltaRun struct {
 	state      *DeltaState
 	resetEvent string
-	trackSig   string
 	reg        *obs.Registry
-	ckpt       *pipeline.Journal
-	job        string
 
 	mu         sync.Mutex
 	usedTracks map[string]bool
@@ -249,39 +240,14 @@ func (d *deltaRun) begin(reg *obs.Registry) {
 	}
 }
 
-// lookupTrack returns the memoized (or journal-persisted) track for a
-// gated capture, re-stamped with this run's quality score. The returned
-// fingerprint lets a missing caller reuse the hash computation.
+// lookupTrack returns the memoized track for a gated capture,
+// re-stamped with this run's quality score. The returned fingerprint
+// lets a missing caller reuse the hash computation.
 func (d *deltaRun) lookupTrack(c *Capture, score float64) (*Track, string, bool) {
 	fp := c.Fingerprint()
 	d.state.memoMu.Lock()
 	t := d.state.tracks[fp]
 	d.state.memoMu.Unlock()
-	if t == nil && d.ckpt != nil {
-		// A fresh process has an empty memo but may hold the artifact a
-		// previous process persisted. The journal record's fingerprint
-		// field carries the extraction-parameter signature, so stale
-		// artifacts miss naturally.
-		if payload, ok := d.ckpt.Payload(d.job, trackStagePrefix+fp, d.trackSig); ok && len(payload) > 0 {
-			switch dec, err := aggregate.DecodeTrack(payload); {
-			case err == nil && dec.Hash == fp:
-				t = dec
-				d.state.memoMu.Lock()
-				d.state.tracks[fp] = t
-				d.state.memoMu.Unlock()
-				d.reg.Counter("reconstruct.delta.tracks.journal_loaded").Inc()
-			default:
-				// The envelope verified but the gob payload does not decode
-				// (or decodes to the wrong content) — a write-time bug, not
-				// bit rot. Drop the poisoned artifact so it can never be
-				// retried, and fall through to re-extraction; storeTrack
-				// persists the replacement, completing the repair.
-				_ = d.ckpt.Drop(d.job, trackStagePrefix+fp)
-				d.reg.Counter("reconstruct.delta.tracks.corrupt").Inc()
-				d.reg.Counter("integrity.repaired").Inc()
-			}
-		}
-	}
 	if t == nil {
 		d.reg.Counter("reconstruct.delta.tracks.extracted").Inc()
 		return nil, fp, false
@@ -296,8 +262,8 @@ func (d *deltaRun) lookupTrack(c *Capture, score float64) (*Track, string, bool)
 	return &cp, fp, true
 }
 
-// storeTrack memoizes a freshly extracted track and best-effort persists
-// it through the journal. Nil-safe for the batch path.
+// storeTrack memoizes a freshly extracted track. Nil-safe for the batch
+// path.
 func (d *deltaRun) storeTrack(fp string, t *Track) {
 	if d == nil {
 		return
@@ -306,11 +272,6 @@ func (d *deltaRun) storeTrack(fp string, t *Track) {
 	d.state.tracks[fp] = t
 	d.state.memoMu.Unlock()
 	d.markTrackUsed(fp)
-	if d.ckpt != nil {
-		if data, err := aggregate.EncodeTrack(t); err == nil {
-			_ = d.ckpt.Complete(d.job, trackStagePrefix+fp, d.trackSig, data)
-		}
-	}
 }
 
 func (d *deltaRun) markTrackUsed(fp string) {
@@ -318,9 +279,6 @@ func (d *deltaRun) markTrackUsed(fp string) {
 	d.usedTracks[fp] = true
 	d.mu.Unlock()
 }
-
-// trackStagePrefix namespaces per-capture track artifacts in the journal.
-const trackStagePrefix = "track/"
 
 // skeleton is the incremental stage-3 body: patch the persistent grid to
 // the current trajectory set, then run the deterministic tail shared with
@@ -403,8 +361,8 @@ func roomMemoKey(c *Capture, trackIdx int, tr *Track, agg *aggregate.Result) str
 		c.Camera.W, c.Camera.H)
 }
 
-// finish prunes memo entries (and journal track artifacts) this run did
-// not touch, bounding state growth to the live corpus. Nil-safe.
+// finish prunes memo entries this run did not touch, bounding state
+// growth to the live corpus. Nil-safe.
 func (d *deltaRun) finish() {
 	if d == nil {
 		return
@@ -425,13 +383,6 @@ func (d *deltaRun) finish() {
 		}
 	}
 	st.memoMu.Unlock()
-	if d.ckpt != nil {
-		for _, stage := range d.ckpt.Stages(d.job) {
-			if fp, ok := strings.CutPrefix(stage, trackStagePrefix); ok && !usedTracks[fp] {
-				_ = d.ckpt.Drop(d.job, stage)
-			}
-		}
-	}
 }
 
 // deltaConfigSignature is an explicit versioned encoding of every config
@@ -454,15 +405,6 @@ func deltaConfigSignature(cfg Config) string {
 		cfg.ForceDir.MaxIter, cfg.ForceDir.Tolerance,
 		cfg.RoomMergeRadius, cfg.Seed, cfg.ReleaseFrames,
 		qualitySignature(cfg.Quality))
-}
-
-// trackArtifactSignature guards persisted track artifacts: it covers the
-// extraction parameters, the quality gate (whose sanitization shapes
-// extraction input), and the mode (which decides whether a capture's
-// track is dead-reckoned only or carries key-frames). Versioned via the
-// codec prefix.
-func trackArtifactSignature(cfg Config) string {
-	return fmt.Sprintf("trackio-v2;mode=%d;", int(cfg.Mode)) + cfg.Keyframe.Signature() + ";" + qualitySignature(cfg.Quality)
 }
 
 // qualitySignature is the explicit encoding of the gate parameters (Obs

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"crowdmap/internal/cloud/pipeline"
-	"crowdmap/internal/cloud/store"
 	"crowdmap/internal/mathx"
 )
 
@@ -144,9 +142,9 @@ func TestDeltaMatchesFullRebuild(t *testing.T) {
 // the new routing modes: an evolving mixed-mode corpus — IMU-only
 // captures in trajectory mode, a gate-rejected-video capture in hybrid
 // mode — must, at every prefix, produce a delta result reflect.DeepEqual
-// to a fresh full rebuild. This is what the mode-aware memo signatures
-// (delta-v2/trackio-v2) protect: a memoized vision track must never leak
-// into a trajectory-routed run or vice versa.
+// to a fresh full rebuild. This is what the mode-aware memo signature
+// (delta-v2) protects: a memoized vision track must never leak into a
+// trajectory-routed run or vice versa.
 func TestDeltaMatchesFullRebuildModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end delta equivalence check is expensive")
@@ -215,64 +213,6 @@ func TestDeltaMatchesFullRebuildModes(t *testing.T) {
 				t.Fatalf("%s: delta state never reused a track", tc.name)
 			}
 		})
-	}
-}
-
-// TestDeltaJournalRestartReuse pins the persistence half of the delta
-// contract: with a checkpoint journal attached, a FRESH DeltaState (a
-// restarted process) reloads every track from the journal instead of
-// re-extracting, and still produces the identical plan.
-func TestDeltaJournalRestartReuse(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end delta restart check is expensive")
-	}
-	corpus, cfg := deltaCorpus(t, 777)
-	corpus = corpus[:4]
-	journal, err := pipeline.NewJournal(store.New(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.JobID = "Lab2"
-	cfg.Checkpoints = journal
-	ctx := context.Background()
-
-	first := NewDeltaState()
-	cfg.Metrics = NewMetricsRegistry()
-	ref, err := ReconstructDelta(ctx, corpus, cfg, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// "Restart": empty memos, same journal.
-	reg := NewMetricsRegistry()
-	cfg.Metrics = reg
-	res, err := ReconstructDelta(ctx, corpus, cfg, NewDeltaState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSameOutcome(t, "restart", res, ref)
-	c := reg.Snapshot().Counters
-	if c["reconstruct.delta.tracks.extracted"] != 0 {
-		t.Errorf("restarted run re-extracted %d tracks, want 0",
-			c["reconstruct.delta.tracks.extracted"])
-	}
-	if c["reconstruct.delta.tracks.journal_loaded"] != int64(len(corpus)) {
-		t.Errorf("journal_loaded = %d, want %d",
-			c["reconstruct.delta.tracks.journal_loaded"], len(corpus))
-	}
-
-	// A changed extraction parameter must miss the persisted artifacts.
-	cfg2 := cfg
-	cfg2.Keyframe.HD = cfg.Keyframe.HD * 1.5
-	reg2 := NewMetricsRegistry()
-	cfg2.Metrics = reg2
-	if _, err := ReconstructDelta(ctx, corpus, cfg2, NewDeltaState()); err != nil {
-		t.Fatal(err)
-	}
-	c2 := reg2.Snapshot().Counters
-	if c2["reconstruct.delta.tracks.journal_loaded"] != 0 {
-		t.Errorf("stale artifacts loaded after a keyframe-parameter change (%d)",
-			c2["reconstruct.delta.tracks.journal_loaded"])
 	}
 }
 
