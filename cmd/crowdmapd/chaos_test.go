@@ -22,16 +22,16 @@ import (
 // chaosReconstruct is a deterministic corpus-dependent reconstruction
 // stub: the plan mask is derived from the corpus fingerprint, so a plan
 // built from the wrong capture set renders different bytes and the
-// DeepEqual-against-clean-run invariant has teeth. It checkpoints the
-// plan stage like the real pipeline.
+// byte-identity-against-clean-run invariant has teeth. It checkpoints the
+// pairs stage like the real pipeline.
 func chaosReconstruct(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
-	fp := crowdmap.CorpusFingerprint(captures)
-	res := stubResult(cfg.JobID)
+	res := stubResult(cfg.JobID, captures)
+	fp := res.Corpus
 	mask := res.Plan.HallwayMask
 	for i := range mask.Cells {
 		mask.Cells[i] = fp[i%len(fp)]&1 == 1
 	}
-	_ = cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePlan, fp, nil)
+	_ = cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePairs, fp, []byte("{}"))
 	return res, nil
 }
 
@@ -68,29 +68,15 @@ func chaosCaptures(t *testing.T, building string, n int) (ids []string, archives
 // closes one per simulated process lifetime.
 func chaosProcessor(t *testing.T, st *store.Store) *processor {
 	t.Helper()
-	proc := newProcessor(st, 100, 1)
-	proc.obs = crowdmap.NewMetricsRegistry()
-	journal, err := pipeline.NewJournal(st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc.journal = journal
-	if err := proc.start(1); err != nil {
-		t.Fatal(err)
-	}
-	maps, err := mapserve.New(st, mapserve.WithObs(proc.obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc.maps = maps
+	proc := newProc(t, st, 1)
 	proc.reconstruct = chaosReconstruct
 	proc.loadPairCache()
 	return proc
 }
 
 // cleanRunPlan reconstructs the given acknowledged corpus on a pristine
-// in-memory store and returns the stored plan payload and served ETag —
-// the reference a chaos survivor must match byte for byte.
+// in-memory store and returns the served plan's SVG and ETag — the
+// reference a chaos survivor must match byte for byte.
 func cleanRunPlan(t *testing.T, building string, ids []string, archives map[string][]byte) ([]byte, string) {
 	t.Helper()
 	st := store.New()
@@ -104,15 +90,11 @@ func cleanRunPlan(t *testing.T, building string, ids []string, archives map[stri
 	if err := proc.runOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	svg, ok, err := proc.keep.Get(server.CollPlans, building)
-	if err != nil || !ok {
-		t.Fatalf("clean run produced no plan: (%v, %v)", ok, err)
-	}
 	pv, ok := proc.maps.Plan(building)
-	if !ok {
-		t.Fatal("clean run served no plan")
+	if !ok || len(pv.SVG) == 0 {
+		t.Fatalf("clean run served no plan (ok=%v, %d SVG bytes)", ok, len(pv.SVG))
 	}
-	return svg, pv.ETag
+	return pv.SVG, pv.ETag
 }
 
 // corruptRandomArtifact flips one bit in a randomly chosen derived
@@ -123,7 +105,7 @@ func corruptRandomArtifact(t *testing.T, st *store.Store, rng *rand.Rand) string
 	t.Helper()
 	type doc struct{ coll, key string }
 	var docs []doc
-	for _, coll := range []string{server.CollPlans, mapserve.CollServe, pipeline.CheckpointColl, collState} {
+	for _, coll := range []string{mapserve.CollServe, pipeline.CheckpointColl, collState} {
 		for _, key := range st.Keys(coll) {
 			docs = append(docs, doc{coll, key})
 		}
@@ -235,22 +217,18 @@ func TestChaosKillCorruptRestart(t *testing.T) {
 			continue
 		}
 		// Invariant 2: the plan equals a clean run over the acked corpus,
-		// both the stored document and the served version (by ETag).
+		// both the served SVG bytes and the served version (by ETag).
 		want, wantETag := cleanRunPlan(t, building, acked, byID)
-		got, ok, err := proc2.keep.Get(server.CollPlans, building)
-		if err != nil || !ok {
-			t.Fatalf("iter %d (%s): plan unreadable after recovery: (%v, %v)", i, action, ok, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("iter %d (%s): recovered plan diverges from clean run (%d vs %d bytes)",
-				i, action, len(got), len(want))
-		}
-		// Invariant 3: the served version never regresses, and the read
-		// tier verifies end to end.
 		pv, ok := proc2.maps.Plan(building)
 		if !ok {
 			t.Fatalf("iter %d (%s): read tier serves no plan", i, action)
 		}
+		if !bytes.Equal(pv.SVG, want) {
+			t.Fatalf("iter %d (%s): recovered plan diverges from clean run (%d vs %d bytes)",
+				i, action, len(pv.SVG), len(want))
+		}
+		// Invariant 3: the served version never regresses, and the read
+		// tier verifies end to end.
 		if pv.ETag != wantETag {
 			t.Fatalf("iter %d (%s): served plan diverges from clean run (etag %.12s vs %.12s)",
 				i, action, pv.ETag, wantETag)

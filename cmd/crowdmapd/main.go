@@ -3,13 +3,14 @@
 // far into per-building floor plans, and publishes the results back
 // through the same API — the full client→cloud loop of the paper's
 // Section IV prototype on one machine. Each completed reconstruction is
-// additionally published to the read tier (internal/cloud/mapserve): a
-// monotonically versioned plan served as vector JSON and an
-// occupancy-grid PNG with ETag/If-None-Match revalidation, plus a
-// localization endpoint that answers a single query frame (and optional
-// IMU snippet) with a pose on the current plan, matched against a
-// persisted per-building key-frame index (decoded indexes are held in an
-// -index-cache-bounded LRU). The full HTTP reference is docs/API.md.
+// published to the read tier (internal/cloud/mapserve), the daemon's one
+// plan store: a monotonically versioned plan served as vector JSON, an
+// occupancy-grid PNG and an SVG drawing with ETag/If-None-Match
+// revalidation, plus a localization endpoint that answers a single query
+// frame (and optional IMU snippet) with a pose on the current plan,
+// matched against a persisted per-building key-frame index (decoded
+// indexes are held in an -index-cache-bounded LRU). The full HTTP
+// reference is docs/API.md.
 //
 // Usage:
 //
@@ -21,10 +22,14 @@
 //	          [-rebuild-every N] [-index-cache N] [-scrub-interval D] [-metrics]
 //
 // Reconstruction is scheduled per building: every -interval the capture
-// corpus is scanned and grouped by building, and buildings whose corpus
-// fingerprint changed are enqueued on a pool of -building-workers
-// concurrent reconstruction jobs (one job per building at a time, fair
-// FIFO between buildings). Each building keeps incremental
+// corpus is scanned and grouped by building, and buildings whose served
+// plan record names a corpus fingerprint other than their current one
+// (or whose record or index is gone) are enqueued on a pool of
+// -building-workers concurrent reconstruction jobs (one job per building
+// at a time, fair FIFO between buildings). The record is the only
+// "is this building current?" signal: one upload costs one job, and a
+// job whose publish fails leaves the building out of date, so the next
+// scan retries it. Each building keeps incremental
 // reconstruction state in memory across cycles: a new upload costs only
 // its own key-frame extraction and its pair comparisons against the
 // existing corpus, with the occupancy grid patched and unchanged rooms
@@ -56,15 +61,15 @@
 //
 // With -data-dir the daemon is durable: every document mutation and every
 // acknowledged upload chunk goes through a write-ahead log before it is
-// confirmed, reconstruction progress is checkpointed per stage, and a
+// confirmed, reconstruction's pair decisions are checkpointed, and a
 // restart replays the log — partial uploads resume where they left off
-// and finished buildings are not reprocessed. Without -data-dir the
+// and current buildings run no job. Without -data-dir the
 // daemon is memory-only (the legacy -snapshot flag still saves/loads a
 // JSON dump at exit/start).
 //
 // Every derived artifact above the WAL — checkpoints, the pair-cache
-// export, SVG plans, and the read tier's plan records and localization
-// indexes — is persisted under an integrity envelope
+// export, and the read tier's plan records and localization indexes —
+// is persisted under an integrity envelope
 // (internal/cloud/integrity) and verified on every read: a flipped bit is
 // quarantined and counted (integrity.*), never served, and the owning
 // subsystem recomputes the artifact from surviving inputs. A paced
@@ -75,9 +80,9 @@
 //
 // Graceful shutdown (SIGINT/SIGTERM): the server stops admitting uploads
 // (503 + Retry-After), in-flight building jobs get -drain-timeout to
-// finish (then their contexts are cancelled — stage checkpoints make the
-// work resumable), the pair cache is persisted, and the WAL is compacted
-// and synced before exit.
+// finish (then their contexts are cancelled — checkpointed pair decisions
+// make the work resumable), the pair cache is persisted, and the WAL is
+// compacted and synced before exit.
 //
 // The HTTP API always serves GET /metrics with a JSON snapshot covering
 // ingestion (http.*, uploads.*, admission.*), durability (store.wal.*),
@@ -181,6 +186,8 @@ func main() {
 			serverOpts = append(serverOpts, server.WithIMUOnlyAdmission())
 		}
 	}
+	var recovered map[string]*store.RecoveredUpload
+	snapshotLoaded := false
 	if *dataDir != "" {
 		pol, err := store.ParseSyncPolicy(*walSync)
 		if err != nil {
@@ -191,9 +198,7 @@ func main() {
 			log.Fatalf("wal: %v", err)
 		}
 		st = wal.Store()
-		recovered := wal.RecoveredUploads()
-		log.Printf("wal: recovered %d captures, %d plans, %d partial uploads from %s",
-			st.Len(server.CollCaptures), st.Len(server.CollPlans), len(recovered), *dataDir)
+		recovered = wal.RecoveredUploads()
 		serverOpts = append(serverOpts, server.WithChunkLog(wal), server.WithRecoveredUploads(recovered))
 		if *snapshot != "" {
 			log.Print("-snapshot is ignored when -data-dir is set")
@@ -204,18 +209,25 @@ func main() {
 				log.Printf("snapshot load: %v (starting empty)", err)
 			}
 		} else {
-			log.Printf("loaded snapshot: %d captures, %d plans",
-				st.Len(server.CollCaptures), st.Len(server.CollPlans))
+			snapshotLoaded = true
 		}
 	}
-	// The read tier serves versioned plans (vector JSON + PNG, ETag/304)
-	// and the localization endpoint; the processor publishes every
-	// completed reconstruction into it.
+	// The read tier is the one plan store: it serves versioned plans
+	// (vector JSON, PNG and SVG, ETag/304) and the localization endpoint;
+	// the processor publishes every completed reconstruction into it.
 	maps, err := mapserve.New(st,
 		mapserve.WithObs(reg),
 		mapserve.WithIndexCacheSize(*indexCache))
 	if err != nil {
 		log.Fatalf("mapserve: %v", err)
+	}
+	switch {
+	case wal != nil:
+		log.Printf("wal: recovered %d captures, %d plans, %d partial uploads from %s",
+			st.Len(server.CollCaptures), len(maps.Buildings()), len(recovered), *dataDir)
+	case snapshotLoaded:
+		log.Printf("loaded snapshot: %d captures, %d plans",
+			st.Len(server.CollCaptures), len(maps.Buildings()))
 	}
 	serverOpts = append(serverOpts, server.WithMapServe(maps))
 	srv, err := server.New(st, serverOpts...)
@@ -235,7 +247,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	proc := newProcessor(st, *hypotheses, *workers)
+	proc := newProcessor(st, maps, *hypotheses, *workers)
 	proc.obs = reg
 	proc.logMetrics = *metrics
 	proc.journal = journal
@@ -243,10 +255,10 @@ func main() {
 	proc.mode = mode
 	proc.stageBudget = *stageTO
 	proc.rebuildEvery = *rebuildN
-	proc.maps = maps
 	proc.scrubPace = time.Millisecond
-	// start wires the integrity keeper, so the pair-cache load (which
-	// verifies the dump's envelope) must come after it.
+	// start sweeps legacy documents and wires the integrity keeper, so the
+	// pair-cache load (which verifies the dump's envelope) must come after
+	// it.
 	if err := proc.start(*bWorkers); err != nil {
 		log.Fatal(err)
 	}
@@ -302,8 +314,8 @@ func main() {
 		log.Printf("dead-letter: job %s failed %d attempts: %s", d.JobID, d.Attempts, d.Err)
 	}
 	// 2. Give in-flight building jobs the drain budget; past it their
-	//    contexts are cancelled and the stage checkpoints make them
-	//    resumable on restart.
+	//    contexts are cancelled and the checkpointed pair decisions make
+	//    them resumable on restart.
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drainTO)
 	if err := proc.sched.Drain(drainCtx); err != nil {
 		log.Printf("drain: %v", err)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -9,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -23,8 +21,8 @@ import (
 	"crowdmap/internal/cloud/store"
 )
 
-// Store collections owned by the processor (the server owns captures and
-// plans; see server.CollCaptures / server.CollPlans).
+// Store collections owned by the processor (the server owns captures, the
+// read tier owns plans; see server.CollCaptures / mapserve.CollServe).
 const (
 	// collDeadLetter holds capture archives quarantined as poison: they made
 	// reconstruction fail repeatedly, so they are moved out of the working
@@ -35,11 +33,11 @@ const (
 	collState = "state"
 	// statePairCache is the collState key of the exported pair cache.
 	statePairCache = "paircache"
-	// statePlanFp prefixes the collState key of a building's plan commit
-	// marker: the corpus fingerprint the stored plan and published read-tier
-	// version were built from, written only after both landed.
-	statePlanFp = "planfp/"
 )
+
+// minCaptures is the corpus size a building needs before it is
+// reconstructed.
+const minCaptures = 3
 
 // maxCaptureFailures is how many failed reconstruction attempts a single
 // capture may cause before it is quarantined to the dead-letter
@@ -49,12 +47,12 @@ const maxCaptureFailures = 3
 
 // processor turns stored captures into floor plans. Each scan groups the
 // capture corpus by building and computes a per-building corpus
-// fingerprint; buildings whose fingerprint changed since their last
-// successful reconstruction are enqueued on the per-building scheduler,
-// which runs them concurrently on a bounded worker pool (never two jobs
-// for the same building at once). This replaces the old
-// count-of-captures cycle check, which skipped reconstruction whenever a
-// dead-lettered capture and a new upload left the count unchanged.
+// fingerprint; buildings whose served plan was not built from that corpus
+// (mapserve.Current) are enqueued on the per-building scheduler, which
+// runs them concurrently on a bounded worker pool (never two jobs for the
+// same building at once). The read tier's plan record is the one place
+// that says what was built from what, so there is nothing to keep in
+// agreement with it.
 type processor struct {
 	st         *store.Store
 	hypotheses int
@@ -69,8 +67,8 @@ type processor struct {
 	mode crowdmap.Mode
 	// stageBudget is the soft per-stage wall-clock budget (0 = off).
 	stageBudget time.Duration
-	// journal checkpoints per-stage completion; a building whose plan stage
-	// already completed over the same corpus is skipped entirely.
+	// journal checkpoints the pair-comparison stage, so a job cut off by a
+	// restart resumes from the pair decisions it already made.
 	journal *crowdmap.CheckpointJournal
 	// cache persists pair-comparison decisions across reconstruction
 	// cycles: when new uploads arrive, only pairs involving new content are
@@ -88,15 +86,13 @@ type processor struct {
 	// rebuildEvery forces a periodic full rebuild per building as a
 	// correctness backstop (0 = never).
 	rebuildEvery int
-	// maps, when non-nil, receives each completed reconstruction through
-	// Publish: the read tier's versioned plan + localization index swap.
-	// Publish failures are logged and counted, never failed — the SVG plan
-	// is already stored, and the read tier keeps serving the previous
-	// complete version.
+	// maps is the read tier and the one plan store: each completed
+	// reconstruction is published through it, and its plan records name
+	// the corpus each building's served plan was built from.
 	maps *mapserve.Service
-	// keep integrity-envelopes the processor's own persisted documents
-	// (SVG plans, the pair-cache export) and verifies everything it reads
-	// back; created by start, after obs is wired.
+	// keep integrity-envelopes the processor's own persisted document (the
+	// pair-cache export) and verifies everything it reads back; created by
+	// start, after obs is wired.
 	keep *integrity.Keeper
 	// scrubPace throttles the background scrubber between documents so a
 	// scrub pass never monopolizes the store lock (0 = no pause).
@@ -112,23 +108,26 @@ type processor struct {
 	// made fail; at maxCaptureFailures the capture is dead-lettered. A
 	// successful cycle that includes a capture resets its count.
 	failures map[string]int
-	// meta caches per-capture scan metadata (building, raw-content hash) so
-	// the periodic scan decodes each archive once, not every tick.
+	// meta caches per-capture scan metadata by store key, so the periodic
+	// scan decodes each archive once, not every tick.
 	meta map[string]captureMeta
 }
 
-// captureMeta is what the scan needs to know about a stored capture
-// without re-decoding it: which building it belongs to, keyed by the
-// hash of its raw archive bytes.
+// captureMeta is what the scan knows about a stored capture without
+// decoding it again: its building and corpus entry (declared ID and
+// content fingerprint), valid while its raw archive bytes still hash to
+// hash.
 type captureMeta struct {
 	hash     string
 	building string
+	entry    crowdmap.CorpusEntry
 }
 
-func newProcessor(st *store.Store, hypotheses, workers int) *processor {
+func newProcessor(st *store.Store, maps *mapserve.Service, hypotheses, workers int) *processor {
 	qp := crowdmap.DefaultQualityParams()
 	return &processor{
 		st:          st,
+		maps:        maps,
 		hypotheses:  hypotheses,
 		workers:     workers,
 		quality:     &qp,
@@ -140,9 +139,11 @@ func newProcessor(st *store.Store, hypotheses, workers int) *processor {
 	}
 }
 
-// start brings up the per-building scheduler with the given worker
-// count. Call after obs/journal are set and before the first scan.
+// start sweeps legacy documents and brings up the per-building scheduler
+// with the given worker count. Call after obs/journal are set and before
+// the first scan.
 func (p *processor) start(buildingWorkers int) error {
+	p.sweepLegacy()
 	s, err := sched.New(buildingWorkers, p.runBuilding,
 		sched.WithObs(p.obs),
 		sched.WithResultFunc(func(building string, err error) {
@@ -156,6 +157,41 @@ func (p *processor) start(buildingWorkers int) error {
 	p.sched = s
 	p.keep = integrity.NewKeeper(p.st, p.obs)
 	return nil
+}
+
+// legacyPlans is the collection of SVG plan documents older daemons kept
+// beside the read tier.
+const legacyPlans = "plans"
+
+// sweepLegacy deletes what older daemons stored and nothing reads any
+// more: SVG plan documents, plan commit markers (state/planfp/*), and the
+// journal records that only marked progress (key-frame, skeleton and
+// plan stages, and per-capture tracks). The pairs records stay: a resumed
+// run reloads their payload.
+func (p *processor) sweepLegacy() {
+	var doomed [][2]string
+	for _, k := range p.st.Keys(legacyPlans) {
+		doomed = append(doomed, [2]string{legacyPlans, k})
+	}
+	for _, k := range p.st.Keys(collState) {
+		if strings.HasPrefix(k, "planfp/") {
+			doomed = append(doomed, [2]string{collState, k})
+		}
+	}
+	for _, k := range p.st.Keys(pipeline.CheckpointColl) {
+		switch _, stage, _ := strings.Cut(k, "/"); {
+		case stage == crowdmap.StageKeyframes, stage == "skeleton", stage == "plan", strings.HasPrefix(stage, "track/"):
+			doomed = append(doomed, [2]string{pipeline.CheckpointColl, k})
+		}
+	}
+	for _, d := range doomed {
+		if err := p.st.Delete(d[0], d[1]); err != nil {
+			log.Printf("legacy sweep: %s/%s: %v", d[0], d[1], err)
+		}
+	}
+	if len(doomed) > 0 {
+		log.Printf("legacy sweep: dropped %d documents older daemons kept beside the read tier", len(doomed))
+	}
 }
 
 // loadPairCache warms the cache from the previous process's exported
@@ -236,15 +272,41 @@ func isTransient(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// scan is the periodic job: it walks the capture collection, groups
-// captures by building, computes each building's corpus fingerprint from
-// the raw archive hashes, and marks dirty buildings on the scheduler.
-// Decode work is memoized per raw-content hash, so a steady-state scan
-// hashes bytes but decodes nothing.
+// scan is the periodic job: it refreshes the capture metadata, groups
+// the captures into building corpora and marks every building whose
+// served plan was not built from its current corpus. That covers a new,
+// changed or dead-lettered capture, a publish that failed, a record
+// written before records named their corpus, and read-tier rot that a
+// verified read or the scrubber quarantined. Buildings with fewer than
+// minCaptures captures wait for more.
 func (p *processor) scan(ctx context.Context) error {
+	if err := p.refreshMeta(ctx); err != nil {
+		return err
+	}
+	corpora := p.corpora(nil)
+	for building, c := range corpora {
+		if len(c.keys) < minCaptures {
+			continue
+		}
+		if fp := crowdmap.CorpusFingerprintOf(c.entries); !p.maps.Current(building, fp) {
+			p.sched.Mark(building, fp)
+		}
+	}
+	p.obs.Gauge("sched.buildings.tracked").Set(float64(len(corpora)))
+	if p.logMetrics && p.obs != nil {
+		if data, err := json.Marshal(p.obs.Snapshot()); err == nil {
+			log.Printf("metrics: %s", data)
+		}
+	}
+	return nil
+}
+
+// refreshMeta brings the capture metadata up to date with the store. It
+// hashes every archive but decodes only those it has not seen with the
+// same bytes, so a steady-state scan decodes nothing.
+func (p *processor) refreshMeta(ctx context.Context) error {
 	keys := p.st.Keys(server.CollCaptures)
 	live := make(map[string]bool, len(keys))
-	byBuilding := make(map[string][]string)
 	for _, k := range keys {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -269,13 +331,13 @@ func (p *processor) scan(ctx context.Context) error {
 				}
 				continue
 			}
-			m = captureMeta{hash: hash, building: c.Geo.Building}
+			m = captureMeta{hash: hash, building: c.Geo.Building,
+				entry: crowdmap.CorpusEntry{ID: c.ID, Fingerprint: c.Fingerprint()}}
 			p.mu.Lock()
 			p.meta[k] = m
 			p.mu.Unlock()
 		}
 		live[k] = true
-		byBuilding[m.building] = append(byBuilding[m.building], k+":"+hash)
 	}
 	// Forget metadata of deleted captures so the map tracks the store.
 	p.mu.Lock()
@@ -285,114 +347,60 @@ func (p *processor) scan(ctx context.Context) error {
 		}
 	}
 	p.mu.Unlock()
-	for building, entries := range byBuilding {
-		// Fold the persisted artifacts' health into the fingerprint: losing
-		// or corrupting the plan or a read-tier document changes the marker,
-		// so the scheduler redrives the building and the job recomputes the
-		// lost artifact — self-healing with zero scheduler changes.
-		entries = append(entries, "health:"+p.healthMarker(building))
-		p.sched.Mark(building, corpusFingerprint(entries))
-	}
-	p.obs.Gauge("sched.buildings.tracked").Set(float64(len(byBuilding)))
-	if p.logMetrics && p.obs != nil {
-		if data, err := json.Marshal(p.obs.Snapshot()); err == nil {
-			log.Printf("metrics: %s", data)
-		}
-	}
 	return nil
 }
 
-// corpusFingerprint hashes a building's sorted "captureID:rawHash"
-// entries into the dirty-tracking fingerprint. It deliberately uses raw
-// archive bytes (not decoded content) so the scan stays cheap; the
-// checkpoint journal inside the job uses crowdmap.CorpusFingerprint over
-// decoded captures, which serves the same invalidation role at the
-// stage level.
-func corpusFingerprint(entries []string) string {
-	sort.Strings(entries)
-	h := sha256.New()
-	for _, e := range entries {
-		h.Write([]byte(e))
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// corpus is one building's capture corpus: store keys and their corpus
+// entries, index-aligned.
+type corpus struct {
+	keys    []string
+	entries []crowdmap.CorpusEntry
 }
 
-// planIntact reports whether the building's SVG plan document is present
-// under a valid integrity envelope. A corrupt document is quarantined by
-// the check (the read path would have done the same) and reported as
-// missing, so the caller re-renders.
-func (p *processor) planIntact(building string) bool {
-	_, ok, err := p.keep.Get(server.CollPlans, building)
-	return err == nil && ok
-}
-
-// planState reports whether the plan document AND its commit marker
-// verify, and returns the corpus fingerprint the plan was committed
-// under. The pipeline journals the plan stage before the processor
-// stores the SVG, so "journal done" alone cannot distinguish a committed
-// plan from a crash that left the previous corpus's (intact, stale)
-// plan behind — the marker, written last, can.
-func (p *processor) planState(building string) (intact bool, fp string) {
-	if !p.planIntact(building) {
-		return false, ""
-	}
-	data, ok, err := p.keep.Get(collState, statePlanFp+building)
-	if err != nil || !ok {
-		return false, ""
-	}
-	return true, string(data)
-}
-
-// serveHealthy reports whether the read tier's persisted artifacts for
-// the building verify (or the read tier is off). "Never published" counts
-// as unhealthy so a reconstruction run publishes it.
-func (p *processor) serveHealthy(building string) bool {
-	if p.maps == nil {
-		return true
-	}
-	published, err := p.maps.Verify(building)
-	return published && err == nil
-}
-
-// healthMarker summarizes the building's persisted-artifact health for
-// the scan fingerprint. For the read tier it checks presence only, and
-// hashes nothing: rot is found by the scrubber and by every verified
-// read, both of which quarantine it, and quarantine removes the document
-// and flips the marker. The job then runs the full Verify (serveHealthy).
-func (p *processor) healthMarker(building string) string {
-	serve := "off"
-	if p.maps != nil {
-		switch published, present := p.maps.Stored(building); {
-		case present:
-			serve = "ok"
-		case published:
-			serve = "missing"
-		default:
-			serve = "unpublished"
+// corpora groups the captures with metadata into building corpora, in
+// store-key order. The first capture to declare an ID joins its
+// building's corpus; a later one declaring the same ID is left out and
+// reported to dup, when non-nil. Two corpus members with one identity
+// would make failure attribution ambiguous (and would let a hostile
+// upload get a victim's capture quarantined in its place). The scan and
+// the job both choose a corpus here, so the fingerprint the scan marks is
+// the corpus the job reconstructs.
+func (p *processor) corpora(dup func(building, key, prev, id string)) map[string]corpus {
+	out := make(map[string]corpus)
+	owner := make(map[[2]string]string) // (building, declared ID) → store key
+	for _, k := range p.st.Keys(server.CollCaptures) {
+		p.mu.Lock()
+		m, ok := p.meta[k]
+		p.mu.Unlock()
+		if !ok {
+			continue
 		}
+		id := [2]string{m.building, m.entry.ID}
+		if prev, taken := owner[id]; taken {
+			if dup != nil {
+				dup(m.building, k, prev, m.entry.ID)
+			}
+			continue
+		}
+		owner[id] = k
+		c := out[m.building]
+		c.keys = append(c.keys, k)
+		c.entries = append(c.entries, m.entry)
+		out[m.building] = c
 	}
-	// The marker carries the committed corpus fingerprint (not just a
-	// bool): a stale-but-intact plan left by a crash between the journal
-	// write and the plan commit changes the marker and redrives the job.
-	plan := "bad"
-	if intact, fp := p.planState(building); intact {
-		plan = fp
-	}
-	return fmt.Sprintf("plan:%s;serve:%s", plan, serve)
+	return out
 }
 
 // scrub is one background integrity pass: it walks every persisted
-// derived artifact — checkpoints, processor state, SVG plans, and the
-// read tier's records and indexes — verifying envelopes and codecs. A
-// corrupt document is quarantined by the verification itself; scrub then
-// runs a scan so the changed health markers redrive the owning buildings
-// and the artifacts are recomputed. Paced by scrubPace so a pass never
-// monopolizes the store.
+// derived artifact — checkpoints, processor state, and the read tier's
+// records and indexes — verifying envelopes and codecs. A corrupt
+// document is quarantined by the verification itself; scrub then runs a
+// scan, which finds the owning buildings no longer current and redrives
+// them. Paced by scrubPace so a pass never monopolizes the store.
 func (p *processor) scrub(ctx context.Context) error {
 	start := time.Now()
 	docs, corrupt := 0, 0
-	for _, coll := range []string{pipeline.CheckpointColl, collState, server.CollPlans} {
+	for _, coll := range []string{pipeline.CheckpointColl, collState} {
 		for _, key := range p.st.Keys(coll) {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -405,18 +413,16 @@ func (p *processor) scrub(ctx context.Context) error {
 			p.pace()
 		}
 	}
-	if p.maps != nil {
-		for _, b := range p.maps.Buildings() {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			docs++
-			if published, err := p.maps.Verify(b); published && err != nil {
-				corrupt++
-				log.Printf("scrub: read tier %s corrupt: %v", b, err)
-			}
-			p.pace()
+	for _, b := range p.maps.Buildings() {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		docs++
+		if published, err := p.maps.Verify(b); published && err != nil {
+			corrupt++
+			log.Printf("scrub: read tier %s corrupt: %v", b, err)
+		}
+		p.pace()
 	}
 	p.obs.Counter("scrub.passes").Inc()
 	p.obs.Counter("scrub.docs").Add(int64(docs))
@@ -446,62 +452,54 @@ func (p *processor) runOnce(ctx context.Context) error {
 	return p.sched.Wait(ctx)
 }
 
-// buildingCaptures decodes the current corpus of one building from the
-// store. Captures whose cached metadata names another building are
-// skipped without decoding. The second return value maps each capture's
-// declared ID (from meta.json) to the store key it was uploaded under:
-// the pipeline reports failures and exclusions by declared ID, but
-// quarantine must move the store document, and nothing forces a client
-// to upload an archive under the ID its metadata declares. A later
-// document duplicating an earlier one's declared ID is skipped — two
-// corpus members with one identity would make failure attribution
-// ambiguous (and would let a hostile upload get a victim's capture
-// quarantined in its place).
-func (p *processor) buildingCaptures(ctx context.Context, building string) ([]*crowdmap.Capture, map[string]string, error) {
+// runBuilding is the scheduler's job body: reconstruct one building's
+// corpus, quarantining poison captures and degrading to the remaining
+// corpus rather than failing the job. A building already current (a Mark
+// that raced the job that made it so) costs no decode.
+func (p *processor) runBuilding(ctx context.Context, building string) error {
+	c := p.corpora(func(b, key, prev, id string) {
+		if b == building {
+			log.Printf("%s: capture %s declares the same ID %q as %s, skipping it", building, key, id, prev)
+		}
+	})[building]
+	if p.maps.Current(building, crowdmap.CorpusFingerprintOf(c.entries)) {
+		log.Printf("%s: plan already current, skipping", building)
+		return nil
+	}
+	captures, keyByID, err := p.load(ctx, building, c)
+	if err != nil {
+		return err
+	}
+	return p.reconstructBuilding(ctx, building, captures, keyByID)
+}
+
+// load decodes a building's corpus from the store. The second return
+// value maps each capture's declared ID (from meta.json) to the store key
+// it was uploaded under: the pipeline reports failures and exclusions by
+// declared ID, but quarantine must move the store document, and nothing
+// forces a client to upload an archive under the ID its metadata
+// declares. An archive that changed since the scan read it (gone,
+// undecodable, moved to another building or to a taken ID) is left out;
+// the next scan sees the change.
+func (p *processor) load(ctx context.Context, building string, c corpus) ([]*crowdmap.Capture, map[string]string, error) {
 	var out []*crowdmap.Capture
-	keyByID := make(map[string]string)
-	for _, k := range p.st.Keys(server.CollCaptures) {
+	keyByID := make(map[string]string, len(c.keys))
+	for _, k := range c.keys {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
-		}
-		p.mu.Lock()
-		m, known := p.meta[k]
-		p.mu.Unlock()
-		if known && m.building != building {
-			continue
 		}
 		data, ok := p.st.Get(server.CollCaptures, k)
 		if !ok {
 			continue
 		}
-		c, err := server.DecodeCapture(data)
-		if err != nil {
-			// The scan owns decode-poison accounting; here we just exclude it
-			// from the job.
+		cp, err := server.DecodeCapture(data)
+		if err != nil || cp.Geo.Building != building || keyByID[cp.ID] != "" {
 			continue
 		}
-		if c.Geo.Building == building {
-			if prev, dup := keyByID[c.ID]; dup {
-				log.Printf("%s: capture %s declares the same ID %q as %s, skipping it",
-					building, k, c.ID, prev)
-				continue
-			}
-			keyByID[c.ID] = k
-			out = append(out, c)
-		}
+		keyByID[cp.ID] = k
+		out = append(out, cp)
 	}
 	return out, keyByID, nil
-}
-
-// runBuilding is the scheduler's job body: reconstruct one building's
-// corpus, quarantining poison captures and degrading to the remaining
-// corpus rather than failing the job.
-func (p *processor) runBuilding(ctx context.Context, building string) error {
-	captures, keyByID, err := p.buildingCaptures(ctx, building)
-	if err != nil {
-		return err
-	}
-	return p.reconstructBuilding(ctx, building, captures, keyByID)
 }
 
 // storeKey translates a capture's declared ID into the store key its
@@ -516,24 +514,14 @@ func storeKey(keyByID map[string]string, id string) string {
 }
 
 // deltaState returns (creating on first use) the building's in-memory
-// delta-reconstruction state. Creating it also drops the per-capture
-// "track/<fingerprint>" journal records that daemons before the
-// in-memory memo wrote: nothing reads them, and they would otherwise
-// stay in the WAL for good.
+// delta-reconstruction state.
 func (p *processor) deltaState(building string) *crowdmap.DeltaState {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	st, ok := p.deltaStates[building]
 	if !ok {
 		st = crowdmap.NewDeltaState()
 		p.deltaStates[building] = st
-	}
-	p.mu.Unlock()
-	if !ok {
-		for _, stage := range p.journal.Stages(building) {
-			if strings.HasPrefix(stage, "track/") {
-				_ = p.journal.Drop(building, stage)
-			}
-		}
 	}
 	return st
 }
@@ -548,33 +536,20 @@ func (p *processor) dropDeltaStates() {
 }
 
 // reconstructBuilding runs one building's corpus through the pipeline,
-// over the building's in-memory delta state. On a poison-capture failure
-// it quarantines the capture and immediately retries with the rest; on
-// cancellation it returns without charging any capture; on success it
+// over the building's in-memory delta state, and publishes the result.
+// On a poison-capture failure it quarantines the capture and immediately
+// retries with the rest; on cancellation it returns without charging any
+// capture; a publish error fails the job, and the building's record still
+// names the old corpus, so the next scan redrives it. On success it
 // resets the failure count of every capture the cycle included and
 // checkpoints the pair cache.
 func (p *processor) reconstructBuilding(ctx context.Context, building string, captures []*crowdmap.Capture, keyByID map[string]string) error {
 	state := p.deltaState(building)
 	for {
-		if len(captures) < 3 {
+		if len(captures) < minCaptures {
 			log.Printf("%s: only %d captures, waiting for more", building, len(captures))
 			return nil
 		}
-		fp := crowdmap.CorpusFingerprint(captures)
-		planIntact, planFp := p.planState(building)
-		planOK := planIntact && planFp == fp
-		serveOK := p.serveHealthy(building)
-		journalDone := p.journal.Completed(building, crowdmap.StagePlan, fp)
-		if planOK && serveOK && journalDone {
-			// The plan stage already completed over exactly this corpus (a
-			// restart, or a fresh scheduler over an old store) and every
-			// persisted artifact verifies: nothing to do.
-			log.Printf("%s: plan already reconstructed for this corpus, skipping", building)
-			return nil
-		}
-		// A completed journal with a missing/corrupt plan or read-tier
-		// artifact means this run is a repair, not new work.
-		repairRun := journalDone && (!planOK || !serveOK)
 		cfg := crowdmap.DefaultConfig()
 		cfg.Layout.Hypotheses = p.hypotheses
 		cfg.Workers = p.workers
@@ -620,50 +595,22 @@ func (p *processor) reconstructBuilding(ctx context.Context, building string, ca
 			log.Printf("%s: reconstruction failed: %v", building, err)
 			return fmt.Errorf("%s: %w", building, err)
 		}
-		svg, err := res.Plan.RenderSVG()
+		// Publish to the read tier: versioned vector/PNG/SVG artifacts plus
+		// the localization index, swapped atomically so concurrent
+		// plan/locate readers never see a partial version, and a record
+		// naming res.Corpus. An unchanged plan keeps its version (and
+		// clients' 304s).
+		v, err := p.maps.Publish(building, res)
 		if err != nil {
-			log.Printf("%s: render: %v", building, err)
-			return fmt.Errorf("%s: render: %w", building, err)
+			p.obs.Counter("mapserve.publish.errors").Inc()
+			return fmt.Errorf("%s: publish: %w", building, err)
 		}
-		if err := p.keep.Put(server.CollPlans, building, svg); err != nil {
-			log.Printf("%s: store plan: %v", building, err)
-			return fmt.Errorf("%s: store plan: %w", building, err)
-		}
-		if repairRun {
-			if !planOK {
-				p.obs.Counter("integrity.repaired").Inc()
-			}
-			p.obs.Counter("processor.plan.repaired").Inc()
-			log.Printf("%s: repaired persisted artifacts (plan intact=%t, serve intact=%t)",
-				building, planOK, serveOK)
-		}
-		// Publish to the read tier after the SVG store succeeds: versioned
-		// vector/PNG artifacts plus the localization index, swapped
-		// atomically so concurrent plan/locate readers never see a partial
-		// version. An unchanged plan keeps its version (and clients' 304s).
-		published := true
-		if p.maps != nil {
-			if v, err := p.maps.Publish(building, res); err != nil {
-				published = false
-				p.obs.Counter("mapserve.publish.errors").Inc()
-				log.Printf("%s: mapserve publish: %v", building, err)
-			} else {
-				log.Printf("%s: serving plan version %d (etag %.12s)", building, v.Version, v.ETag)
-			}
-		}
-		// The commit marker goes last: it asserts plan AND read tier were
-		// built from this corpus, so a crash anywhere above leaves a stale
-		// marker and the next scan redrives the build.
-		if published {
-			if err := p.keep.Put(collState, statePlanFp+building, []byte(fp)); err != nil {
-				log.Printf("%s: store plan marker: %v", building, err)
-			}
-		}
+		log.Printf("%s: serving plan version %d (etag %.12s)", building, v.Version, v.ETag)
 		// Degraded-mode aftermath: captures the pipeline excluded (gate
 		// rejection, recovered panic) are proven poison — dead-letter them
-		// now, without waiting for three strikes, so the next scan's corpus
-		// fingerprint matches what was actually reconstructed and the job
-		// is not redriven over the same exclusions forever.
+		// now, without waiting for three strikes. res.Corpus leaves them
+		// out, so once they leave the store the building reads current and
+		// the job is not redriven over the same exclusions.
 		excluded := make(map[string]bool, len(res.Excluded))
 		if len(res.Excluded) > 0 {
 			p.mu.Lock()
@@ -688,11 +635,9 @@ func (p *processor) reconstructBuilding(ctx context.Context, building string, ca
 		}
 		p.mu.Unlock()
 		p.savePairCache()
-		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "%s: plan updated (%d rooms, %d/%d tracks placed, %s)",
+		log.Printf("%s: plan updated (%d rooms, %d/%d tracks placed, %s)",
 			building, len(res.Plan.Rooms), len(res.Aggregation.Offsets), len(res.Tracks),
 			time.Since(start).Round(time.Millisecond))
-		log.Print(buf.String())
 		return nil
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"crowdmap"
 	"crowdmap/internal/aggregate"
+	"crowdmap/internal/cloud/integrity"
 	"crowdmap/internal/cloud/mapserve"
 	"crowdmap/internal/cloud/pipeline"
 	"crowdmap/internal/cloud/server"
@@ -58,8 +59,20 @@ func seedCaptures(t *testing.T, st *store.Store, building string, n int, seedBas
 	return ids
 }
 
-// stubResult is a minimal renderable reconstruction result.
-func stubResult(building string) *crowdmap.Result {
+// stubResult is a minimal renderable reconstruction result over
+// captures, minus the excluded ones, with Coverage and Corpus set the
+// way the pipeline sets them.
+func stubResult(building string, captures []*crowdmap.Capture, excluded ...crowdmap.Exclusion) *crowdmap.Result {
+	out := make(map[string]bool, len(excluded))
+	for _, ex := range excluded {
+		out[ex.CaptureID] = true
+	}
+	var used []*crowdmap.Capture
+	for _, c := range captures {
+		if !out[c.ID] {
+			used = append(used, c)
+		}
+	}
 	mask := &gridmap.Binary{
 		Bounds: geom.Rect{Min: geom.P(0, 0), Max: geom.P(10, 10)},
 		Res:    1, W: 10, H: 10, Cells: make([]bool, 100),
@@ -67,15 +80,24 @@ func stubResult(building string) *crowdmap.Result {
 	return &crowdmap.Result{
 		Plan:        &floorplan.Plan{Building: building, HallwayMask: mask},
 		Aggregation: &aggregate.Result{},
+		Excluded:    excluded,
+		Coverage: crowdmap.Coverage{Input: len(captures), Used: len(used),
+			Excluded: len(excluded), Degraded: len(excluded) > 0},
+		Corpus: crowdmap.CorpusFingerprint(used),
 	}
 }
 
-// newTestProcessor builds a started processor with a journal over st and
-// the given number of building workers; Close is registered on t.
-func newTestProcessor(t *testing.T, st *store.Store, buildingWorkers int) *processor {
+// newProc builds a started processor over st (journal, read tier, a
+// fresh metrics registry) without registering any test cleanup.
+func newProc(t *testing.T, st *store.Store, buildingWorkers int) *processor {
 	t.Helper()
-	proc := newProcessor(st, 100, 1)
-	proc.obs = crowdmap.NewMetricsRegistry()
+	reg := crowdmap.NewMetricsRegistry()
+	maps, err := mapserve.New(st, mapserve.WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := newProcessor(st, maps, 100, 1)
+	proc.obs = reg
 	journal, err := pipeline.NewJournal(st, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +106,41 @@ func newTestProcessor(t *testing.T, st *store.Store, buildingWorkers int) *proce
 	if err := proc.start(buildingWorkers); err != nil {
 		t.Fatal(err)
 	}
+	return proc
+}
+
+// newTestProcessor is newProc with the scheduler's Close registered on t.
+func newTestProcessor(t *testing.T, st *store.Store, buildingWorkers int) *processor {
+	t.Helper()
+	proc := newProc(t, st, buildingWorkers)
 	t.Cleanup(proc.sched.Close)
 	return proc
+}
+
+// loadCorpus refreshes the processor's capture metadata and decodes one
+// building's corpus, as a job would.
+func loadCorpus(t *testing.T, proc *processor, building string) ([]*crowdmap.Capture, map[string]string) {
+	t.Helper()
+	ctx := context.Background()
+	if err := proc.refreshMeta(ctx); err != nil {
+		t.Fatal(err)
+	}
+	captures, keyByID, err := proc.load(ctx, building, proc.corpora(nil)[building])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return captures, keyByID
+}
+
+// counter reads one counter of the processor's registry.
+func counter(p *processor, name string) int64 {
+	return p.obs.Snapshot().Counters[name]
+}
+
+// served reports whether the read tier serves a plan for building.
+func served(p *processor, building string) bool {
+	_, ok := p.maps.Plan(building)
+	return ok
 }
 
 // failureCount reads a capture's failure count under the processor lock.
@@ -112,7 +167,7 @@ func TestProcessorQuarantinesPoisonCapture(t *testing.T) {
 					&crowdmap.CaptureError{CaptureID: poison, Err: errors.New("corrupt frames")})
 			}
 		}
-		return stubResult("Lab2"), nil
+		return stubResult("Lab2", captures), nil
 	}
 
 	ctx := context.Background()
@@ -140,7 +195,7 @@ func TestProcessorQuarantinesPoisonCapture(t *testing.T) {
 	if _, ok := st.Get(server.CollCaptures, poison); ok {
 		t.Error("poison capture still in the working set")
 	}
-	if _, ok := st.Get(server.CollPlans, "Lab2"); !ok {
+	if !served(proc, "Lab2") {
 		t.Error("plan not produced from the remaining corpus")
 	}
 	if v := proc.obs.Snapshot().Counters["captures.deadlettered"]; v != 1 {
@@ -152,21 +207,17 @@ func TestProcessorQuarantinesPoisonCapture(t *testing.T) {
 	}
 }
 
-// TestProcessorSkipsCompletedJob: a building whose corpus is unchanged is
-// not re-enqueued, and even a fresh scheduler (daemon restart) skips it
-// via the plan-stage checkpoint.
+// TestProcessorSkipsCompletedJob: once a corpus is reconstructed, its
+// building is current. Later scans enqueue nothing, and neither does a
+// restarted daemon (fresh scheduler and read tier over the same store):
+// a restart over a current store runs no job at all.
 func TestProcessorSkipsCompletedJob(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 2)
 	var calls int32
-	stub := func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	stub := func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		atomic.AddInt32(&calls, 1)
-		// Mimic the real pipeline's final checkpoint.
-		if err := cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePlan,
-			crowdmap.CorpusFingerprint(captures), nil); err != nil {
-			return nil, err
-		}
-		return stubResult("Lab2"), nil
+		return stubResult("Lab2", captures), nil
 	}
 	proc := newTestProcessor(t, st, 1)
 	proc.reconstruct = stub
@@ -176,23 +227,195 @@ func TestProcessorSkipsCompletedJob(t *testing.T) {
 	if atomic.LoadInt32(&calls) != 1 {
 		t.Fatalf("first cycle: %d reconstructions, want 1", calls)
 	}
-	// Unchanged corpus: the dirty-tracker does not even enqueue the job.
+	// Unchanged corpus: the scan does not even enqueue the job.
 	if err := proc.runOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if atomic.LoadInt32(&calls) != 1 {
-		t.Errorf("clean corpus re-reconstructed (%d calls)", calls)
+	if got := counter(proc, "sched.jobs.enqueued"); got != 1 || atomic.LoadInt32(&calls) != 1 {
+		t.Errorf("clean corpus: %d jobs enqueued, %d reconstructions; want 1 and 1", got, calls)
 	}
-	// A restarted daemon (fresh scheduler state, same store+journal)
-	// enqueues the building once but the plan-stage checkpoint skips the
-	// actual reconstruction.
+	// A restarted daemon over the same store enqueues nothing.
 	proc2 := newTestProcessor(t, st, 1)
 	proc2.reconstruct = stub
 	if err := proc2.runOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if got := counter(proc2, "sched.jobs.enqueued"); got != 0 {
+		t.Errorf("restart over a current store enqueued %d jobs, want 0", got)
+	}
 	if atomic.LoadInt32(&calls) != 1 {
-		t.Errorf("checkpointed job was reconstructed again after restart (%d calls)", calls)
+		t.Errorf("current building reconstructed again after restart (%d calls)", calls)
+	}
+}
+
+// TestSmallBuildingNeverEnqueued: a building with fewer than minCaptures
+// captures is never enqueued, scan after scan.
+func TestSmallBuildingNeverEnqueued(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", minCaptures-1, 2)
+	proc := newTestProcessor(t, st, 1)
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		t.Error("reconstructed a building below the corpus threshold")
+		return stubResult("Lab2", captures), nil
+	}
+	for i := 0; i < 3; i++ {
+		if err := proc.runOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := counter(proc, "sched.jobs.enqueued"); got != 0 {
+		t.Errorf("sched.jobs.enqueued = %d, want 0", got)
+	}
+}
+
+// TestNextScanEnqueuesNothing pins the single currency signal: after each
+// kind of successful job, the record names exactly the corpus the next
+// scan sees, so that scan enqueues nothing.
+func TestNextScanEnqueuesNothing(t *testing.T) {
+	stub := func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		return stubResult("Lab2", captures), nil
+	}
+	cases := []struct {
+		name string
+		// setup seeds st and wires proc's reconstruction; the next
+		// runOnce must run one successful job.
+		setup func(t *testing.T, st *store.Store, proc *processor)
+	}{
+		{"plain upload", func(t *testing.T, st *store.Store, proc *processor) {
+			seedCaptures(t, st, "Lab2", 3, 2)
+			proc.reconstruct = stub
+			if err := proc.runOnce(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			seedCaptures(t, st, "Lab2", 1, 90)
+		}},
+		{"gate exclusion", func(t *testing.T, st *store.Store, proc *processor) {
+			bad := seedCaptures(t, st, "Lab2", 4, 2)[2]
+			proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+				var excluded []crowdmap.Exclusion
+				for _, c := range captures {
+					if c.ID == bad {
+						excluded = append(excluded, crowdmap.Exclusion{CaptureID: bad,
+							Stage: crowdmap.StageQualityGate, Reasons: []string{"imu_too_corrupt"}})
+					}
+				}
+				return stubResult("Lab2", captures, excluded...), nil
+			}
+		}},
+		{"poison quarantined in the retry loop", func(t *testing.T, st *store.Store, proc *processor) {
+			poison := seedCaptures(t, st, "Lab2", 4, 2)[1]
+			proc.mu.Lock()
+			proc.failures[poison] = maxCaptureFailures - 1
+			proc.mu.Unlock()
+			proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+				for _, c := range captures {
+					if c.ID == poison {
+						return nil, &crowdmap.CaptureError{CaptureID: poison, Err: errors.New("corrupt frames")}
+					}
+				}
+				return stubResult("Lab2", captures), nil
+			}
+		}},
+		{"duplicate declared ID", func(t *testing.T, st *store.Store, proc *processor) {
+			ids := seedCaptures(t, st, "Lab2", 3, 2)
+			data, _ := st.Get(server.CollCaptures, ids[0])
+			if err := st.Put(server.CollCaptures, "zz-imposter", data); err != nil {
+				t.Fatal(err)
+			}
+			proc.reconstruct = stub
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := store.New()
+			proc := newTestProcessor(t, st, 1)
+			tc.setup(t, st, proc)
+			ctx := context.Background()
+			done := counter(proc, "sched.jobs.completed")
+			if err := proc.runOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if counter(proc, "sched.jobs.completed") != done+1 || counter(proc, "sched.jobs.failed") != 0 {
+				t.Fatalf("setup did not lead to one successful job: %v", proc.obs.Snapshot().Counters)
+			}
+			enqueued := counter(proc, "sched.jobs.enqueued")
+			if err := proc.runOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := counter(proc, "sched.jobs.enqueued"); got != enqueued {
+				t.Errorf("the scan after the job enqueued %d jobs, want none", got-enqueued)
+			}
+		})
+	}
+}
+
+// TestFailedPublishIsRetried is the regression test for a publish error
+// that was only logged: the job counted as done, nothing reran the
+// building until its corpus changed, and the read tier kept serving the
+// older version. A publish error now fails the job, and the record still
+// names the old corpus, so every scan redrives the building until a
+// publish lands.
+func TestFailedPublishIsRetried(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", 3, 2)
+	proc := newTestProcessor(t, st, 1)
+	var runs atomic.Int64
+	var oversized atomic.Bool
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		runs.Add(1)
+		res := stubResult("Lab2", captures)
+		if len(captures) > 3 {
+			res.Plan.Rooms = []floorplan.Room{{ID: "r1", Center: geom.P(5, 5), Width: 2, Length: 3}}
+			if oversized.Load() {
+				// Bounds past the read tier's raster cap: Publish fails.
+				res.Plan.Rooms = append(res.Plan.Rooms, floorplan.Room{ID: "far", Center: geom.P(1000, 5), Width: 2, Length: 2})
+			}
+		}
+		return res, nil
+	}
+	ctx := context.Background()
+	version := func() uint64 {
+		t.Helper()
+		pv, ok := proc.maps.Plan("Lab2")
+		if !ok {
+			t.Fatal("no served plan")
+		}
+		return pv.Version
+	}
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v := version(); v != 1 {
+		t.Fatalf("first plan at version %d, want 1", v)
+	}
+	seedCaptures(t, st, "Lab2", 1, 90)
+	oversized.Store(true)
+	for scan := 1; scan <= 3; scan++ {
+		if err := proc.runOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := runs.Load(); got != int64(1+scan) {
+			t.Fatalf("after %d scans over the failing corpus: %d reconstructions, want %d", scan, got, 1+scan)
+		}
+	}
+	if got := counter(proc, "mapserve.publish.errors"); got != 3 {
+		t.Errorf("mapserve.publish.errors = %d, want 3", got)
+	}
+	if v := version(); v != 1 {
+		t.Fatalf("a failed publish changed the served version to %d", v)
+	}
+	oversized.Store(false)
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v := version(); v != 2 {
+		t.Fatalf("served version %d once publishing works again, want 2", v)
+	}
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != 5 {
+		t.Errorf("%d reconstructions, want 5 (none once the plan is current)", got)
 	}
 }
 
@@ -216,7 +439,7 @@ func TestProcessorReconstructsOnSwap(t *testing.T) {
 			lastCorpus = append(lastCorpus, c.ID)
 		}
 		mu.Unlock()
-		return stubResult("Lab2"), nil
+		return stubResult("Lab2", captures), nil
 	}
 	if err := proc.runOnce(context.Background()); err != nil {
 		t.Fatal(err)
@@ -263,10 +486,7 @@ func TestTransientFailureNotCountedTowardQuarantine(t *testing.T) {
 		return nil, fmt.Errorf("stage 1: %w",
 			&crowdmap.CaptureError{CaptureID: victim, Err: context.Canceled})
 	}
-	captures, keyByID, err := proc.buildingCaptures(context.Background(), "Lab2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	captures, keyByID := loadCorpus(t, proc, "Lab2")
 	for i := 0; i < maxCaptureFailures; i++ {
 		if err := proc.reconstructBuilding(context.Background(), "Lab2", captures, keyByID); err == nil {
 			t.Fatal("interrupted reconstruction reported success")
@@ -304,8 +524,8 @@ func TestSuccessResetsFailureCounts(t *testing.T) {
 	proc.mu.Lock()
 	proc.failures[ids[2]] = maxCaptureFailures - 1 // one strike from quarantine
 	proc.mu.Unlock()
-	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
-		return stubResult("Lab2"), nil
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		return stubResult("Lab2", captures), nil
 	}
 	if err := proc.runOnce(context.Background()); err != nil {
 		t.Fatal(err)
@@ -337,12 +557,9 @@ func TestReconstructBuildingQuarantineRetryLoop(t *testing.T) {
 				return nil, &crowdmap.CaptureError{CaptureID: poison, Err: errors.New("corrupt frames")}
 			}
 		}
-		return stubResult("Lab2"), nil
+		return stubResult("Lab2", captures), nil
 	}
-	captures, keyByID, err := proc.buildingCaptures(context.Background(), "Lab2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	captures, keyByID := loadCorpus(t, proc, "Lab2")
 	orig := append([]*crowdmap.Capture(nil), captures...)
 	if err := proc.reconstructBuilding(context.Background(), "Lab2", captures, keyByID); err != nil {
 		t.Fatalf("quarantine-then-retry job failed: %v", err)
@@ -375,14 +592,11 @@ func TestProcessorDeadLettersExcludedCaptures(t *testing.T) {
 		if cfg.Quality == nil {
 			t.Error("processor did not pass quality params to the pipeline")
 		}
-		res := stubResult("Lab2")
-		res.Excluded = []crowdmap.Exclusion{{
+		return stubResult("Lab2", captures, crowdmap.Exclusion{
 			CaptureID: bad,
 			Stage:     crowdmap.StageQualityGate,
 			Reasons:   []string{"imu_too_corrupt"},
-		}}
-		res.Coverage = crowdmap.Coverage{Input: len(captures), Used: len(captures) - 1, Excluded: 1, Degraded: true}
-		return res, nil
+		}), nil
 	}
 	if err := proc.runOnce(context.Background()); err != nil {
 		t.Fatalf("degraded cycle failed: %v", err)
@@ -393,8 +607,8 @@ func TestProcessorDeadLettersExcludedCaptures(t *testing.T) {
 	if _, ok := st.Get(server.CollCaptures, bad); ok {
 		t.Error("excluded capture still in working set")
 	}
-	if _, ok := st.Get(server.CollPlans, "Lab2"); !ok {
-		t.Error("degraded plan not stored")
+	if !served(proc, "Lab2") {
+		t.Error("degraded plan not served")
 	}
 	if v := proc.obs.Snapshot().Counters["captures.deadlettered"]; v != 1 {
 		t.Errorf("captures.deadlettered = %d, want 1", v)
@@ -430,14 +644,11 @@ func TestProcessorDeadLetterUsesStoreKey(t *testing.T) {
 	}
 	proc := newTestProcessor(t, st, 1)
 	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
-		res := stubResult("Lab2")
-		res.Excluded = []crowdmap.Exclusion{{
+		return stubResult("Lab2", captures, crowdmap.Exclusion{
 			CaptureID: declared, // the pipeline only knows the declared ID
 			Stage:     crowdmap.StageQualityGate,
 			Reasons:   []string{"imu_too_corrupt"},
-		}}
-		res.Coverage = crowdmap.Coverage{Input: len(captures), Used: len(captures) - 1, Excluded: 1, Degraded: true}
-		return res, nil
+		}), nil
 	}
 	if err := proc.runOnce(context.Background()); err != nil {
 		t.Fatalf("degraded cycle failed: %v", err)
@@ -467,10 +678,7 @@ func TestBuildingCapturesSkipsDuplicateDeclaredIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := newTestProcessor(t, st, 1)
-	captures, keyByID, err := proc.buildingCaptures(context.Background(), "Lab2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	captures, keyByID := loadCorpus(t, proc, "Lab2")
 	if len(captures) != 3 {
 		t.Fatalf("corpus size = %d, want 3 (duplicate declared ID not skipped)", len(captures))
 	}
@@ -515,7 +723,7 @@ func TestProcessorOverlappingBuildings(t *testing.T) {
 		mu.Lock()
 		inflight[b]--
 		mu.Unlock()
-		return stubResult(b), nil
+		return stubResult(b, captures), nil
 	}
 	if err := proc.scan(context.Background()); err != nil {
 		t.Fatal(err)
@@ -538,8 +746,8 @@ func TestProcessorOverlappingBuildings(t *testing.T) {
 		t.Errorf("peak concurrent reconstructions = %d, want >= 2", peak)
 	}
 	for _, b := range buildings {
-		if _, ok := st.Get(server.CollPlans, b); !ok {
-			t.Errorf("no plan stored for %s", b)
+		if !served(proc, b) {
+			t.Errorf("no plan served for %s", b)
 		}
 	}
 }
@@ -554,8 +762,8 @@ func TestScanQuarantinesUndecodableCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
-		return stubResult("Lab2"), nil
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		return stubResult("Lab2", captures), nil
 	}
 	for i := 0; i < maxCaptureFailures; i++ {
 		if err := proc.runOnce(context.Background()); err != nil {
@@ -573,7 +781,9 @@ func TestScanQuarantinesUndecodableCapture(t *testing.T) {
 // TestProcessorDeltaMode pins the daemon's one reconstruction path: the
 // default processor runs the real delta pipeline, so after an upload the
 // building's second job reuses every track the first one extracted and
-// extracts only the new capture's.
+// extracts only the new capture's. The real pipeline's Result.Corpus is
+// the corpus the scan fingerprints, so the scan after that job enqueues
+// nothing.
 func TestProcessorDeltaMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real pipeline twice")
@@ -603,8 +813,14 @@ func TestProcessorDeltaMode(t *testing.T) {
 			t.Errorf("second job: %s advanced by %d, want %d", name, got, want)
 		}
 	}
-	if !proc.planIntact("Lab2") {
-		t.Error("no plan stored after the second job")
+	if !served(proc, "Lab2") {
+		t.Error("no plan served after the second job")
+	}
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(proc, "sched.jobs.enqueued"); got != 2 {
+		t.Errorf("sched.jobs.enqueued = %d after the scan that follows two jobs, want 2", got)
 	}
 }
 
@@ -631,7 +847,7 @@ func TestProcessorDeltaStatePerBuilding(t *testing.T) {
 		mu.Lock()
 		states[b] = append(states[b], state)
 		mu.Unlock()
-		return stubResult(b), nil
+		return stubResult(b, captures), nil
 	}
 
 	ctx := context.Background()
@@ -660,62 +876,54 @@ func TestProcessorDeltaStatePerBuilding(t *testing.T) {
 	}
 }
 
-// TestProcessorDropsLegacyTrackRecords: the per-capture track records
-// older daemons journaled are dropped by the building's first job, and
-// the building's other checkpoints stay.
+// TestProcessorDropsLegacyTrackRecords: starting a processor sweeps what
+// older daemons kept beside the read tier — SVG plan documents, plan
+// commit markers, and the journal records that only marked progress,
+// per-capture tracks included — for every building, with or without
+// captures. The pairs records, whose payload resumed runs reload, stay.
 func TestProcessorDropsLegacyTrackRecords(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 20)
-	proc := newTestProcessor(t, st, 1)
-	for _, stage := range []string{"track/aa", "track/bb", crowdmap.StagePairs} {
-		if err := proc.journal.Complete("Lab2", stage, "fp", []byte("x")); err != nil {
+	journal, err := pipeline.NewJournal(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{"Lab1", "Lab2"} {
+		for _, stage := range []string{"keyframes", "skeleton", "plan", "track/aa", "track/bb", crowdmap.StagePairs} {
+			if err := journal.Complete(b, stage, "fp", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Put(legacyPlans, b, integrity.Wrap([]byte("<svg/>"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(collState, "planfp/"+b, integrity.Wrap([]byte("fp"))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := proc.journal.Complete("Lab1", "track/cc", "fp", nil); err != nil {
-		t.Fatal(err)
+	proc := newTestProcessor(t, st, 1)
+	proc.savePairCache()
+	for _, b := range []string{"Lab1", "Lab2"} {
+		if got := proc.journal.Stages(b); !reflect.DeepEqual(got, []string{crowdmap.StagePairs}) {
+			t.Errorf("%s stages after start = %v, want only %q", b, got, crowdmap.StagePairs)
+		}
 	}
-	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
-		return stubResult("Lab2"), nil
+	if got := st.Keys(legacyPlans); len(got) != 0 {
+		t.Errorf("SVG plan documents left: %v", got)
 	}
-	if err := proc.runOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := proc.journal.Stages("Lab2"); !reflect.DeepEqual(got, []string{crowdmap.StagePairs}) {
-		t.Errorf("Lab2 stages after first job = %v, want only %q", got, crowdmap.StagePairs)
-	}
-	// Lab1 has no captures, so no job: its records wait for its first one.
-	if got := proc.journal.Stages("Lab1"); len(got) != 1 {
-		t.Errorf("Lab1 stages = %v, want its record untouched", got)
+	if got := st.Keys(collState); !reflect.DeepEqual(got, []string{statePairCache}) {
+		t.Errorf("state documents after start = %v, want only %q", got, statePairCache)
 	}
 }
 
-// servedPlan returns the stored SVG plan and the served ETag of one
-// building.
+// servedPlan returns the served SVG and ETag of one building.
 func servedPlan(t *testing.T, proc *processor, building string) ([]byte, string) {
 	t.Helper()
-	svg, ok, err := proc.keep.Get(server.CollPlans, building)
-	if err != nil || !ok {
-		t.Fatalf("no stored plan: (%v, %v)", ok, err)
-	}
 	pv, ok := proc.maps.Plan(building)
 	if !ok {
 		t.Fatal("no served plan")
 	}
-	return svg, pv.ETag
-}
-
-// realProcessor is newTestProcessor with the read tier attached and the
-// default (real) reconstruction.
-func realProcessor(t *testing.T, st *store.Store) *processor {
-	t.Helper()
-	proc := newTestProcessor(t, st, 1)
-	maps, err := mapserve.New(st, mapserve.WithObs(proc.obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc.maps = maps
-	return proc
+	return pv.SVG, pv.ETag
 }
 
 // TestProcessorDeltaMatchesFreshProcessor is the daemon-level parity
@@ -731,7 +939,7 @@ func TestProcessorDeltaMatchesFreshProcessor(t *testing.T) {
 	pool := store.New()
 	ids := seedCaptures(t, pool, building, 5, 30)
 	st := store.New()
-	warm := realProcessor(t, st)
+	warm := newTestProcessor(t, st, 1)
 	ctx := context.Background()
 
 	check := func(step string) {
@@ -746,7 +954,7 @@ func TestProcessorDeltaMatchesFreshProcessor(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cold := realProcessor(t, fresh)
+		cold := newTestProcessor(t, fresh, 1)
 		if err := cold.runOnce(ctx); err != nil {
 			t.Fatalf("%s: cold run: %v", step, err)
 		}
@@ -779,18 +987,16 @@ func TestProcessorDeltaMatchesFreshProcessor(t *testing.T) {
 
 // TestProcessorPublishesToReadTier: completing a reconstruction publishes
 // the result to the read tier (servable at version 1), and a later cycle
-// that reconstructs identical content leaves the served version alone.
+// that reconstructs identical content from a grown corpus leaves the
+// served version alone but names the new corpus, so the scan after it
+// enqueues nothing.
 func TestProcessorPublishesToReadTier(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 2)
 	proc := newTestProcessor(t, st, 1)
-	maps, err := mapserve.New(st, mapserve.WithObs(proc.obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc.maps = maps
-	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
-		return stubResult("Lab2"), nil
+	maps := proc.maps
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		return stubResult("Lab2", captures), nil
 	}
 
 	if err := proc.runOnce(context.Background()); err != nil {
@@ -823,5 +1029,12 @@ func TestProcessorPublishesToReadTier(t *testing.T) {
 	}
 	if n := proc.obs.Snapshot().Counters["mapserve.publish.unchanged"]; n != 1 {
 		t.Errorf("mapserve.publish.unchanged = %d, want 1", n)
+	}
+	enqueued := counter(proc, "sched.jobs.enqueued")
+	if err := proc.runOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(proc, "sched.jobs.enqueued"); got != enqueued {
+		t.Errorf("scan after an unchanged publish enqueued %d jobs, want none", got-enqueued)
 	}
 }

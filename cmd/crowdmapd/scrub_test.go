@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"sync/atomic"
 	"testing"
@@ -8,7 +9,6 @@ import (
 	"crowdmap"
 	"crowdmap/internal/cloud/integrity"
 	"crowdmap/internal/cloud/mapserve"
-	"crowdmap/internal/cloud/server"
 	"crowdmap/internal/cloud/store"
 )
 
@@ -28,22 +28,24 @@ func corruptStoredDoc(t *testing.T, st *store.Store, coll, key string) {
 	}
 }
 
-// checkpointingStub returns a reconstruct stub that completes the plan
-// stage in the journal like the real pipeline does, so the processor's
-// skip/repair logic sees realistic checkpoint state.
+// checkpointingStub returns a reconstruct stub that journals the pairs
+// stage like the real pipeline does (the one record it writes), so the
+// scrubber walks realistic checkpoint state.
 func checkpointingStub(runs *atomic.Int64) func(context.Context, []*crowdmap.Capture, crowdmap.Config, *crowdmap.DeltaState) (*crowdmap.Result, error) {
 	return func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		runs.Add(1)
 		fp := crowdmap.CorpusFingerprint(captures)
-		_ = cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePlan, fp, nil)
-		return stubResult(cfg.JobID), nil
+		_ = cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePairs, fp, []byte("{}"))
+		return stubResult(cfg.JobID, captures), nil
 	}
 }
 
-// TestScanRepairsCorruptPlan: once a corpus is reconstructed and
-// checkpointed, further scans skip it — until the stored plan rots. The
-// health marker then changes the scheduler fingerprint, the job is
-// redriven as a repair run, and the plan document is rewritten intact.
+// TestScanRepairsCorruptPlan: once a corpus is reconstructed, further
+// scans skip it — until its read-tier plan record rots and a verified
+// read quarantines it. The building is then no longer current, the scan
+// redrives it, and the job republishes the same version under the same
+// ETag as a repair. Under one corpus this works as often as the record
+// rots.
 func TestScanRepairsCorruptPlan(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 40)
@@ -58,57 +60,63 @@ func TestScanRepairsCorruptPlan(t *testing.T) {
 	if runs.Load() != 1 {
 		t.Fatalf("first cycle ran %d jobs, want 1", runs.Load())
 	}
-	// Unchanged corpus, intact artifacts: the next cycle is a no-op (the
-	// scheduler fingerprint is clean; even if redriven, the job skips).
+	// Unchanged corpus, intact artifacts: the next cycle is a no-op.
 	if err := proc.runOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 1 {
 		t.Fatalf("steady-state cycle re-ran reconstruction (%d runs)", runs.Load())
 	}
+	want, _ := proc.maps.Plan("Lab2")
 
-	corruptStoredDoc(t, st, server.CollPlans, "Lab2")
-	if err := proc.runOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 2 {
-		t.Fatalf("corruption did not redrive the job (%d runs)", runs.Load())
-	}
-	if !proc.planIntact("Lab2") {
-		t.Fatal("plan not repaired")
-	}
-	c := proc.obs.Snapshot().Counters
-	if c["processor.plan.repaired"] != 1 {
-		t.Fatalf("processor.plan.repaired = %d, want 1", c["processor.plan.repaired"])
-	}
-	if c["integrity.repaired"] == 0 || c["integrity.quarantined"] == 0 {
-		t.Fatalf("integrity counters not advanced: %v", c)
-	}
-	if _, ok := st.Get(integrity.QuarantineColl, server.CollPlans+"/Lab2"); !ok {
-		t.Fatal("corrupt plan not quarantined")
-	}
-	// Repaired state is steady again.
-	if err := proc.runOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 2 {
-		t.Fatalf("post-repair cycle re-ran reconstruction (%d runs)", runs.Load())
+	for round := int64(1); round <= 2; round++ {
+		corruptStoredDoc(t, st, mapserve.CollServe, "Lab2/plan")
+		// A verified read (here Verify, as the scrubber runs it) finds
+		// the rot and quarantines the record.
+		if _, err := proc.maps.Verify("Lab2"); err == nil {
+			t.Fatalf("round %d: rotten plan record verified", round)
+		}
+		if err := proc.runOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if runs.Load() != 1+round {
+			t.Fatalf("round %d: corruption did not redrive the job (%d runs)", round, runs.Load())
+		}
+		if published, err := proc.maps.Verify("Lab2"); !published || err != nil {
+			t.Fatalf("round %d: plan not repaired: (%v, %v)", round, published, err)
+		}
+		if got, _ := proc.maps.Plan("Lab2"); got.PlanVersion != want.PlanVersion || !bytes.Equal(got.SVG, want.SVG) {
+			t.Fatalf("round %d: repair served %+v, want %+v and the same SVG", round, got.PlanVersion, want.PlanVersion)
+		}
+		c := proc.obs.Snapshot().Counters
+		if c["mapserve.publish.repaired"] != round {
+			t.Fatalf("round %d: mapserve.publish.repaired = %d", round, c["mapserve.publish.repaired"])
+		}
+		if c["integrity.repaired"] == 0 || c["integrity.quarantined"] == 0 {
+			t.Fatalf("integrity counters not advanced: %v", c)
+		}
+		if _, ok := st.Get(integrity.QuarantineColl, mapserve.CollServe+"/Lab2/plan"); !ok {
+			t.Fatal("corrupt plan record not quarantined")
+		}
+		// Repaired state is steady again.
+		if err := proc.runOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if runs.Load() != 1+round {
+			t.Fatalf("round %d: post-repair cycle re-ran reconstruction (%d runs)", round, runs.Load())
+		}
 	}
 }
 
 // TestScrubDetectsAndRepairs: a scrub pass over a store with a rotten
-// plan and a rotten read-tier record quarantines both, counts them on
-// scrub.*, and redrives the owning building so every artifact verifies
-// again afterward.
+// read-tier plan record and a rotten pair-cache export quarantines both,
+// counts them on scrub.*, and redrives the owning building so every
+// artifact verifies again afterward.
 func TestScrubDetectsAndRepairs(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 60)
 	proc := newTestProcessor(t, st, 1)
-	maps, err := mapserve.New(st, mapserve.WithObs(proc.obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc.maps = maps
+	maps := proc.maps
 	var runs atomic.Int64
 	proc.reconstruct = checkpointingStub(&runs)
 
@@ -119,8 +127,9 @@ func TestScrubDetectsAndRepairs(t *testing.T) {
 	if published, err := maps.Verify("Lab2"); !published || err != nil {
 		t.Fatalf("read tier unhealthy after first cycle: (%v, %v)", published, err)
 	}
+	want, _ := maps.Plan("Lab2")
 
-	corruptStoredDoc(t, st, server.CollPlans, "Lab2")
+	corruptStoredDoc(t, st, collState, statePairCache)
 	corruptStoredDoc(t, st, mapserve.CollServe, "Lab2/plan")
 	if err := proc.scrub(ctx); err != nil {
 		t.Fatal(err)
@@ -142,8 +151,8 @@ func TestScrubDetectsAndRepairs(t *testing.T) {
 	if runs.Load() != 2 {
 		t.Fatalf("scrub did not redrive the building (%d runs)", runs.Load())
 	}
-	if !proc.planIntact("Lab2") {
-		t.Fatal("plan not repaired after scrub")
+	if got, ok := maps.Plan("Lab2"); !ok || got.PlanVersion != want.PlanVersion || !bytes.Equal(got.SVG, want.SVG) {
+		t.Fatalf("plan not repaired after scrub: %+v, want %+v and the same SVG", got.PlanVersion, want.PlanVersion)
 	}
 	if published, err := maps.Verify("Lab2"); !published || err != nil {
 		t.Fatalf("read tier not repaired after scrub: (%v, %v)", published, err)

@@ -70,9 +70,9 @@ type (
 	// reconstruction jobs, keyed by capture content fingerprints; pass one
 	// in Config.PairCache so incremental runs only compare new content.
 	PairCache = aggregate.PairCache
-	// CheckpointJournal persists per-stage completion records so a
-	// restarted process resumes a reconstruction at the last finished
-	// stage. Build one with pipeline.NewJournal over a document store
+	// CheckpointJournal persists stage completion records so a restarted
+	// process resumes a reconstruction from the pair decisions it already
+	// made. Build one with pipeline.NewJournal over a document store
 	// (in production the WAL-backed store) and pass it in
 	// Config.Checkpoints together with a Config.JobID. A nil journal is a
 	// valid no-op.
@@ -141,12 +141,11 @@ type Config struct {
 	// building). Checkpoint records are keyed by (JobID, stage, corpus
 	// fingerprint); an empty JobID disables checkpointing.
 	JobID string
-	// Checkpoints, when non-nil and JobID is set, receives a stage-
-	// completion record after each pipeline stage, with the pair-comparison
-	// decisions attached as the "pairs" payload. A restarted run with the
-	// same JobID and corpus reloads those decisions and, at the daemon
-	// level, skips jobs whose "plan" stage already completed. Nil disables
-	// checkpointing.
+	// Checkpoints, when non-nil and JobID is set, receives the
+	// pair-comparison stage's completion record, with its decisions
+	// attached as the "pairs" payload. A restarted run with the same JobID
+	// and corpus reloads those decisions instead of comparing again. Nil
+	// disables checkpointing.
 	Checkpoints *CheckpointJournal
 	// Quality, when non-nil, enables the crowdsourced-input quality gate:
 	// each capture is validated, scored, and (under the lenient policy)

@@ -139,6 +139,13 @@ func TestDegradedModeGolden(t *testing.T) {
 	if degraded.Coverage != want {
 		t.Errorf("coverage = %+v, want %+v", degraded.Coverage, want)
 	}
+	// The plan's corpus identity is the survivors': the clean corpus.
+	if cleanRes.Corpus != CorpusFingerprint(clean) {
+		t.Errorf("clean Corpus = %.12s, want the input corpus %.12s", cleanRes.Corpus, CorpusFingerprint(clean))
+	}
+	if degraded.Corpus != cleanRes.Corpus {
+		t.Errorf("degraded Corpus = %.12s, want the survivors' %.12s", degraded.Corpus, cleanRes.Corpus)
+	}
 
 	// Tracks stay input-indexed with nil holes at the exclusions.
 	if len(degraded.Tracks) != len(poisoned) {

@@ -160,8 +160,8 @@ func TestRestartMidJobResume(t *testing.T) {
 
 	// First attempt: runs to completion while checkpointing. The "crash"
 	// happens after it — what matters is that the journal now holds the
-	// stage records a mid-job death would have left behind (stages are
-	// checkpointed as they finish, not at the end).
+	// pairs record a death after aggregation would have left behind (the
+	// stage is checkpointed as it finishes, not at the end of the run).
 	st := store.New()
 	journal, err := pipeline.NewJournal(st, nil)
 	if err != nil {
@@ -174,10 +174,12 @@ func TestRestartMidJobResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := CorpusFingerprint(captures)
-	for _, stage := range []string{StageKeyframes, StagePairs, StageSkeleton, StagePlan} {
-		if !journal.Completed("Lab2", stage, fp) {
-			t.Fatalf("stage %s not checkpointed", stage)
-		}
+	if !journal.Completed("Lab2", StagePairs, fp) {
+		t.Fatalf("stage %s not checkpointed", StagePairs)
+	}
+	// Only the stage whose payload a resumed run reloads is journaled.
+	if got := journal.Stages("Lab2"); len(got) != 1 || got[0] != StagePairs {
+		t.Fatalf("journaled stages = %v, want only %q", got, StagePairs)
 	}
 
 	// Restart: a fresh journal over the surviving store and an EMPTY pair
@@ -205,7 +207,7 @@ func TestRestartMidJobResume(t *testing.T) {
 	checkSameResult(t, "uninterrupted vs resumed", ref, resumed)
 
 	// A changed corpus must NOT resume from stale checkpoints.
-	if journal2.Completed("Lab2", StagePlan, CorpusFingerprint(captures[:len(captures)-1])) {
+	if journal2.Completed("Lab2", StagePairs, CorpusFingerprint(captures[:len(captures)-1])) {
 		t.Error("checkpoint accepted for a different corpus")
 	}
 }

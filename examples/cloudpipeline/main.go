@@ -2,9 +2,9 @@
 // IV prototype, on one machine. A crowd of simulated phones encodes
 // capture archives and uploads them in 5 MB-style chunks to an in-process
 // CrowdMap backend; the backend validates, stores, reconstructs, and
-// publishes the floor plan, which the "user" then downloads — the paper's
-// "reconstructed building floor plan can be downloaded directly from the
-// website".
+// publishes the floor plan to its read tier, from which the "user" then
+// downloads it as SVG — the paper's "reconstructed building floor plan
+// can be downloaded directly from the website".
 //
 //	go run ./examples/cloudpipeline
 package main
@@ -17,7 +17,7 @@ import (
 	"os"
 
 	"crowdmap"
-	"crowdmap/internal/cloud/integrity"
+	"crowdmap/internal/cloud/mapserve"
 	"crowdmap/internal/cloud/server"
 	"crowdmap/internal/cloud/store"
 )
@@ -25,9 +25,14 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// Cloud side: document store + ingestion server.
+	// Cloud side: document store, read tier (the plan store) and the
+	// ingestion server in front of both.
 	st := store.New()
-	srv, err := server.New(st)
+	maps, err := mapserve.New(st)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv, err := server.New(st, server.WithMapServe(maps))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,20 +83,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	svg, err := res.Plan.RenderSVG()
+	// The read tier stores the plan as one versioned record (vector JSON,
+	// PNG, SVG and the localization index) under integrity envelopes,
+	// verified on every read: rotten bytes are never served.
+	v, err := maps.Publish(building.Name, res)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Plan documents are stored under an integrity envelope — the server
-	// verifies it on every read and refuses to serve rotten bytes.
-	if err := st.Put(server.CollPlans, building.Name, integrity.Wrap(svg)); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("plan published: %d rooms, %d/%d tracks placed\n",
-		len(res.Plan.Rooms), len(res.Aggregation.Offsets), len(res.Tracks))
+	fmt.Printf("plan published as version %d: %d rooms, %d/%d tracks placed\n",
+		v.Version, len(res.Plan.Rooms), len(res.Aggregation.Offsets), len(res.Tracks))
 
 	// User side: download the published plan over HTTP.
-	resp, err := ts.Client().Get(ts.URL + "/api/v1/plans/" + building.Name)
+	resp, err := ts.Client().Get(ts.URL + "/api/v1/buildings/" + building.Name + "/plan.svg")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 // Package integrity is the artifact-integrity layer for every document
-// persisted above the WAL: checkpoint payloads, pair-cache exports,
-// mapserve index documents and plan records, and rendered plan SVGs. The WAL's CRC framing protects log records in
-// flight to disk; once a document is replayed into the store and
-// compacted into snapshot.json, nothing re-checks its bytes. This
-// package closes that gap with a versioned checksummed envelope (magic +
-// format version + sha256 over the payload) wrapped around each
-// artifact at write time and verified on every read.
+// persisted above the WAL: checkpoint payloads, pair-cache exports, and
+// mapserve index documents and plan records. The WAL's CRC framing
+// protects log records in flight to disk; once a document is replayed
+// into the store and compacted into snapshot.json, nothing re-checks its
+// bytes. This package closes that gap with a versioned checksummed
+// envelope (magic + format version + sha256 over the payload) wrapped
+// around each artifact at write time and verified on every read.
 //
 // Corruption is never fatal and never served: Unwrap returns a typed
 // *CorruptError, and the Keeper — the store-bound verify-on-read

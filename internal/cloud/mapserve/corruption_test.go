@@ -195,39 +195,6 @@ func TestVerifyStates(t *testing.T) {
 	}
 }
 
-// TestStoredStates walks the presence check the scan asks every tick:
-// rot it cannot see, but quarantine (by a verified read or the
-// scrubber) removes the document and flips it, also after a restart.
-func TestStoredStates(t *testing.T) {
-	f := fixture(t)
-	st := store.New()
-	s := newTestService(t, st)
-	check := func(label string, s *Service, wantPublished, wantPresent bool) {
-		t.Helper()
-		if published, present := s.Stored(fixBuilding); published != wantPublished || present != wantPresent {
-			t.Fatalf("%s: Stored = (%v, %v), want (%v, %v)", label, published, present, wantPublished, wantPresent)
-		}
-	}
-	check("unpublished", s, false, false)
-	v, err := s.Publish(fixBuilding, f.res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("published", s, true, true)
-	corruptDoc(t, st, CollServe, indexKey(fixBuilding, v.ETag))
-	check("rotten index, not yet read", s, true, true)
-	if published, err := s.Verify(fixBuilding); !published || err == nil {
-		t.Fatalf("Verify over a rotten index = (%v, %v), want (true, error)", published, err)
-	}
-	check("index quarantined", s, true, false)
-	if _, err := s.Publish(fixBuilding, f.res); err != nil {
-		t.Fatal(err)
-	}
-	check("repaired", s, true, true)
-	corruptDoc(t, st, CollServe, planKey(fixBuilding))
-	check("restart over a rotten plan record", newTestService(t, st), true, false)
-}
-
 // TestBuildingsListsQuarantinedRecords: Buildings enumerates from disk
 // keys and keeps listing a building after its plan record is quarantined,
 // via the surviving version-floor document.

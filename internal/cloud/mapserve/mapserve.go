@@ -9,11 +9,14 @@
 //
 // Versioning contract: every published plan carries a monotonically
 // increasing per-building version and a content-hash ETag. Publishing a
-// byte-identical reconstruction is a no-op (same version, same ETag, so
-// client caches stay valid); any content change bumps the version and
-// changes the ETag. The in-memory current-version pointer is swapped
+// byte-identical reconstruction keeps the version and ETag, so client
+// caches stay valid; any content change bumps the version and changes the
+// ETag. The record also names the capture corpus it was built from, so
+// Current answers "is this building's plan up to date?" with no
+// reconstruction: it is the daemon's one plan store and its one currency
+// signal. The in-memory current-version pointer is swapped
 // atomically only after every artifact of the new version — vector JSON,
-// PNG, and the localization index — is durably stored, so a concurrent
+// PNG, SVG, and the localization index — is durably stored, so a concurrent
 // reader (or a locate in flight during a reconstruction) always sees the
 // previous complete version, never a partially written one.
 //
@@ -181,15 +184,20 @@ type PlanView struct {
 	JSON []byte
 	// PNG is the rendered occupancy-grid raster.
 	PNG []byte
+	// SVG is the floorplan.Plan.RenderSVG rendition (empty for a record
+	// written before records carried one, until its next publish).
+	SVG []byte
 }
 
 // Publish makes a completed reconstruction the building's current served
-// version: it renders the vector JSON and PNG artifacts, builds and
+// version: it renders the vector JSON, PNG and SVG artifacts, builds and
 // persists the localization index, and — only after everything is stored —
 // atomically swaps the current-version pointer. Publishing a result whose
-// content hash equals the current version's is a no-op that returns the
-// existing version. Safe to call concurrently with readers; never safe to
-// observe half-published (readers see the old version until the swap).
+// content hash equals the current version's returns the existing version
+// and counts mapserve.publish.unchanged; when it came from a different
+// corpus (res.Corpus), only the plan record is rewritten, to name it.
+// Safe to call concurrently with readers; never safe to observe
+// half-published (readers see the old version until the swap).
 func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, error) {
 	if building == "" {
 		return PlanVersion{}, fmt.Errorf("mapserve: empty building")
@@ -205,6 +213,10 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	if err != nil {
 		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
 	}
+	svg, err := res.Plan.RenderSVG()
+	if err != nil {
+		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
+	}
 	art := buildLocArtifact(res, s.kf)
 	idxBytes, err := encodeLocIndex(art)
 	if err != nil {
@@ -213,7 +225,8 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	// Content hash over the complete artifact set. The version-0 JSON
 	// rendering keeps the hash independent of the version number itself,
 	// so an identical rebuild hashes identically and keeps its ETag (and
-	// clients' 304s) valid.
+	// clients' 304s) valid. The SVG is a function of the plan the JSON
+	// already covers, so it stays out of the hash.
 	h := sha256.New()
 	h.Write(geo)
 	h.Write(png)
@@ -225,6 +238,19 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	repair := false
 	if cur != nil && cur.ETag == etag {
 		if s.storedIntact(cur) {
+			if cur.Corpus != res.Corpus {
+				// Same content from another corpus: name the new corpus in
+				// the record, at the same version and ETag. The index is
+				// keyed by content and already stored.
+				rec := *cur
+				rec.Corpus, rec.SVG = res.Corpus, svg
+				if err := s.putRecord(&rec); err != nil {
+					return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
+				}
+				s.mu.Lock()
+				s.current[building] = &rec
+				s.mu.Unlock()
+			}
 			s.reg.Counter("mapserve.publish.unchanged").Inc()
 			return PlanVersion{Building: building, Version: cur.Version, ETag: cur.ETag}, nil
 		}
@@ -258,6 +284,8 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 		JSON:     finalJSON,
 		PNG:      png,
 		IndexKey: indexKey(building, etag),
+		Corpus:   res.Corpus,
+		SVG:      svg,
 	}
 	// Durability order is the commit protocol: version floor first, index
 	// second, plan record last. The plan record is the commit point —
@@ -272,12 +300,8 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	if err := s.keep.Put(CollServe, rec.IndexKey, idxBytes); err != nil {
 		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: store index: %w", building, err)
 	}
-	recBytes, err := encodePlanRecord(rec)
-	if err != nil {
+	if err := s.putRecord(rec); err != nil {
 		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
-	}
-	if err := s.keep.Put(CollServe, planKey(building), recBytes); err != nil {
-		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: store plan: %w", building, err)
 	}
 	// Seed the cache with the index just built (a repair overwrites its
 	// entry), so no locate after the swap decodes it back from the store.
@@ -300,6 +324,18 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	s.reg.Counter("mapserve.publishes").Inc()
 	s.reg.Gauge("mapserve.plan.version").Set(float64(version))
 	return PlanVersion{Building: building, Version: version, ETag: etag}, nil
+}
+
+// putRecord stores a plan record, the commit point of a publish.
+func (s *Service) putRecord(rec *planRecord) error {
+	data, err := encodePlanRecord(rec)
+	if err != nil {
+		return err
+	}
+	if err := s.keep.Put(CollServe, planKey(rec.Building), data); err != nil {
+		return fmt.Errorf("store plan: %w", err)
+	}
+	return nil
 }
 
 // storedIntact reports whether the current record's persisted artifacts
@@ -359,6 +395,7 @@ func (s *Service) Plan(building string) (PlanView, bool) {
 		PlanVersion: PlanVersion{Building: building, Version: rec.Version, ETag: rec.ETag},
 		JSON:        rec.JSON,
 		PNG:         rec.PNG,
+		SVG:         rec.SVG,
 	}, true
 }
 
@@ -375,7 +412,8 @@ func (s *Service) record(building string) (*planRecord, bool) {
 	data, ok, err := s.keep.Get(CollServe, planKey(building))
 	if err != nil {
 		// Corrupt on disk: the keeper quarantined it. Report no plan; the
-		// processor's next scan notices and republishes from checkpoints.
+		// building is no longer Current, so the processor's next scan
+		// republishes it.
 		s.reg.Counter("mapserve.plan.corrupt").Inc()
 		return nil, false
 	}
@@ -591,18 +629,17 @@ func (s *Service) hasVersionFloor(building string) bool {
 	return s.st.Has(CollServe, verKey(building))
 }
 
-// Stored is Verify by presence alone: published as Verify reports it,
-// and present when the plan record and the localization index it names
-// are both in the store. Once the record is in memory it reads and hashes
-// no artifact bytes, so a scan can ask every tick. Rot is found by the
-// scrubber and by verified reads, which quarantine it: that removes the
-// document and turns present false.
-func (s *Service) Stored(building string) (published, present bool) {
+// Current reports whether the building's served version was built from
+// the given corpus fingerprint (crowdmap.Result.Corpus) and its plan
+// record and the localization index it names are both in the store. Once
+// the record is in memory it reads and hashes no artifact bytes, so a
+// scan can ask every tick. Rot is found by the scrubber and by verified
+// reads, which quarantine it: that removes the document and turns
+// Current false.
+func (s *Service) Current(building, corpus string) bool {
 	rec, ok := s.record(building)
-	if !ok {
-		return s.hasVersionFloor(building), false
-	}
-	return true, s.st.Has(CollServe, planKey(building)) && s.st.Has(CollServe, rec.IndexKey)
+	return ok && rec.Corpus == corpus &&
+		s.st.Has(CollServe, planKey(building)) && s.st.Has(CollServe, rec.IndexKey)
 }
 
 // globalPose pairs a stored key-frame with its plan-frame pose.

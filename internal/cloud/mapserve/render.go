@@ -20,7 +20,9 @@ import (
 // It is the commit point of a publish: once the record is stored (and the
 // in-memory pointer swapped), readers serve this version. The localization
 // index is persisted separately under IndexKey so plan serving never pays
-// to decode features it does not read.
+// to decode features it does not read. Corpus is the fingerprint of the
+// capture corpus the version was built from (crowdmap.Result.Corpus);
+// records written before it existed decode with it empty.
 type planRecord struct {
 	Building string
 	Version  uint64
@@ -28,6 +30,8 @@ type planRecord struct {
 	JSON     []byte
 	PNG      []byte
 	IndexKey string
+	Corpus   string
+	SVG      []byte
 }
 
 func encodePlanRecord(rec *planRecord) ([]byte, error) {

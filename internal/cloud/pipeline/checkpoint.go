@@ -8,14 +8,13 @@ import (
 	"crowdmap/internal/obs"
 )
 
-// Job checkpointing: the reconstruction pipeline records per-stage
-// completion in a Journal so a restarted daemon can tell which work is
-// already done for which input corpus. Each record is keyed by
-// (job, stage) and carries the fingerprint of the inputs the stage ran
-// over; a fingerprint mismatch means the corpus changed and the
-// checkpoint is stale. Stages may attach a payload (e.g. exported
-// pair-comparison decisions) that the resuming process reloads instead
-// of recomputing. The journal persists through any DocStore — in
+// Job checkpointing: the reconstruction pipeline records stage
+// completion in a Journal so a restarted daemon can resume work already
+// done for the same input corpus. Each record is keyed by (job, stage)
+// and carries the fingerprint of the inputs the stage ran over; a
+// fingerprint mismatch means the corpus changed and the checkpoint is
+// stale. A record carries a payload (the exported pair-comparison
+// decisions) that the resuming process reloads instead of recomputing. The journal persists through any DocStore — in
 // production the WAL-backed document store, so checkpoints share the
 // store's durability guarantees.
 
@@ -135,8 +134,7 @@ func (j *Journal) Payload(job, stage, fingerprint string) ([]byte, bool) {
 
 // Stages lists the stage names with a record for one job, in store key
 // order. Composite stage names (e.g. the per-capture "track/<fingerprint>"
-// artifacts older daemons journaled) are returned verbatim, so callers
-// can enumerate and garbage-collect them.
+// artifacts older daemons journaled) are returned verbatim.
 func (j *Journal) Stages(job string) []string {
 	if j == nil {
 		return nil
@@ -158,20 +156,4 @@ func (j *Journal) Drop(job, stage string) error {
 		return nil
 	}
 	return j.st.Delete(CheckpointColl, journalKey(job, stage))
-}
-
-// Clear drops every checkpoint of one job (call when its corpus is gone).
-func (j *Journal) Clear(job string) error {
-	if j == nil {
-		return nil
-	}
-	prefix := job + "/"
-	for _, k := range j.st.Keys(CheckpointColl) {
-		if len(k) > len(prefix) && k[:len(prefix)] == prefix {
-			if err := j.st.Delete(CheckpointColl, k); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -47,19 +47,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !j2.Completed("bldg", "pairs", "fp1") {
 		t.Error("record lost across journal recreation")
 	}
-	// Clear drops one job's records and nothing else.
-	if err := j.Complete("other", "pairs", "fp1", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Clear("bldg"); err != nil {
-		t.Fatal(err)
-	}
-	if j.Completed("bldg", "pairs", "fp1") {
-		t.Error("cleared record still reported")
-	}
-	if !j.Completed("other", "pairs", "fp1") {
-		t.Error("Clear removed another job's record")
-	}
 }
 
 func TestJournalNilSafe(t *testing.T) {
@@ -72,9 +59,6 @@ func TestJournalNilSafe(t *testing.T) {
 	}
 	if _, ok := j.Payload("a", "b", "c"); ok {
 		t.Error("nil journal returned a payload")
-	}
-	if err := j.Clear("a"); err != nil {
-		t.Errorf("nil journal Clear: %v", err)
 	}
 	if _, err := NewJournal(nil, nil); err == nil {
 		t.Error("NewJournal accepted a nil store")

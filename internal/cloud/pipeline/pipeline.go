@@ -4,8 +4,8 @@
 // primitives over index spaces and unordered pairs, which is precisely the
 // shape of the aggregation workload (all-pairs key-frame comparison). It
 // also provides the stage-checkpoint Journal (checkpoint.go): persisted
-// per-stage completion records that let a restarted daemon resume a job
-// at the last finished stage instead of recomputing it.
+// stage completion records whose payload (the pair decisions) lets a
+// restarted daemon resume a job instead of recomputing it.
 package pipeline
 
 import (

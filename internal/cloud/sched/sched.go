@@ -1,21 +1,21 @@
 // Package sched is crowdmapd's per-building job scheduler. Each building
 // is an independent reconstruction job keyed by its corpus fingerprint:
 // jobs run on a bounded worker pool, two jobs for the same building never
-// run concurrently (per-building serialization), a building whose corpus
-// is unchanged since its last successful run is not re-enqueued (dirty
-// tracking), and dirty buildings run in fair FIFO order so one huge
-// building cannot starve the small ones. This replaces the sequential
-// all-buildings-per-cycle loop: with N workers, N buildings reconstruct
-// concurrently while new uploads for other buildings queue behind them —
-// the incremental-aggregation shape CrowdInside and Walk2Map describe for
-// crowdsourced map construction.
+// run concurrently (per-building serialization), and marked buildings run
+// in fair FIFO order so one huge building cannot starve the small ones.
+// Whether a building needs a job at all is the caller's question: the
+// scheduler keeps no record of what already ran, so a caller can redrive
+// a building whose corpus did not change (a repair). This replaces the
+// sequential all-buildings-per-cycle loop: with N workers, N buildings
+// reconstruct concurrently while new uploads for other buildings queue
+// behind them — the incremental-aggregation shape CrowdInside and
+// Walk2Map describe for crowdsourced map construction.
 //
-// Lifecycle: New starts the workers, Mark reports the current corpus
-// fingerprint of a building (enqueueing it when dirty), Drain stops
-// starting queued jobs and waits for in-flight ones (force-cancelling
-// their context when its own context expires — jobs are expected to
-// checkpoint via the pipeline journal and resume after restart), and
-// Close releases the workers.
+// Lifecycle: New starts the workers, Mark enqueues a building with its
+// current corpus fingerprint, Drain stops starting queued jobs and waits
+// for in-flight ones (force-cancelling their context when its own context
+// expires — jobs are expected to checkpoint via the pipeline journal and
+// resume after restart), and Close releases the workers.
 package sched
 
 import (
@@ -42,9 +42,6 @@ type jobState struct {
 	pending string
 	// ran is the fingerprint the current (or last) run started from.
 	ran string
-	// done is the fingerprint of the last successful run; Mark re-enqueues
-	// only when pending differs from it.
-	done string
 }
 
 // Scheduler runs per-building jobs on a bounded worker pool. Create with
@@ -106,11 +103,11 @@ func New(workers int, run Runner, opts ...Option) (*Scheduler, error) {
 	return s, nil
 }
 
-// Mark reports the current corpus fingerprint of a building. The building
-// is enqueued when the fingerprint differs from its last successful run
-// and it is not already queued or running; a building that is running is
-// coalesced (re-enqueued once the current run finishes, if still dirty).
-// Returns true when the call enqueued the building.
+// Mark enqueues a building with its current corpus fingerprint, unless
+// it is already queued or running. A Mark during a run is coalesced: the
+// building is re-enqueued once the run finishes if the Mark carried a
+// different fingerprint from the one the run started with. Returns true
+// when the call enqueued the building.
 func (s *Scheduler) Mark(building, fingerprint string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,9 +120,6 @@ func (s *Scheduler) Mark(building, fingerprint string) bool {
 		s.state[building] = st
 	}
 	st.pending = fingerprint
-	if fingerprint == st.done {
-		return false // clean: this corpus already reconstructed successfully
-	}
 	if st.queued || st.running {
 		// Per-building serialization: never two jobs for one building. The
 		// completion path re-enqueues if the corpus moved during the run.
@@ -162,9 +156,9 @@ func (s *Scheduler) worker() {
 		st := s.state[building]
 		st.queued = false
 		if s.draining {
-			// Drain: queued-but-not-started jobs are abandoned; their corpus
-			// stays dirty (pending != done) so a restarted daemon re-enqueues
-			// them on its first scan.
+			// Drain: queued-but-not-started jobs are abandoned; a restarted
+			// daemon's first scan finds them still out of date and
+			// re-enqueues them.
 			s.cond.Broadcast()
 			s.mu.Unlock()
 			continue
@@ -191,13 +185,10 @@ func (s *Scheduler) worker() {
 		st.running = false
 		s.running--
 		s.obs.Gauge("sched.workers.busy").Set(float64(s.running))
-		if err == nil {
-			st.done = st.ran
-		}
 		// The corpus moved while the job ran (coalesced Mark): run again with
 		// the new fingerprint. A failed run with an unchanged corpus is NOT
 		// hot-looped here; the next periodic Mark redrives it.
-		if st.pending != st.ran && st.pending != st.done && !s.draining && !s.closed {
+		if st.pending != st.ran && !s.draining && !s.closed {
 			s.obs.Counter("sched.jobs.requeued").Inc()
 			s.enqueueLocked(building, st)
 		}
@@ -223,7 +214,7 @@ func (s *Scheduler) Wait(ctx context.Context) error {
 }
 
 // Drain gracefully stops the scheduler's work: no new jobs start (queued
-// jobs are abandoned, still dirty), and in-flight jobs are given until
+// jobs are abandoned), and in-flight jobs are given until
 // ctx expires to finish. On expiry the job contexts are cancelled — jobs
 // checkpoint through the pipeline journal, so a restarted daemon resumes
 // them — and Drain reports the number of jobs it had to cut off via the

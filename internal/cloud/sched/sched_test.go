@@ -13,7 +13,7 @@ import (
 )
 
 // TestOverlappingBuildings is the concurrency acceptance test: with three
-// dirty buildings and two workers, two buildings are reconstructed
+// marked buildings and two workers, two buildings are reconstructed
 // concurrently (overlap observed), while no building ever runs twice at
 // the same time.
 func TestOverlappingBuildings(t *testing.T) {
@@ -53,10 +53,10 @@ func TestOverlappingBuildings(t *testing.T) {
 	defer s.Close()
 	for _, b := range []string{"Lab1", "Lab2", "Gym"} {
 		if !s.Mark(b, "fp1") {
-			t.Fatalf("Mark(%s) did not enqueue a dirty building", b)
+			t.Fatalf("Mark(%s) did not enqueue an idle building", b)
 		}
 	}
-	// Two jobs must be in flight at once (two workers, three dirty
+	// Two jobs must be in flight at once (two workers, three marked
 	// buildings); the third waits in FIFO order.
 	<-started
 	<-started
@@ -132,48 +132,9 @@ func TestPerBuildingSerialization(t *testing.T) {
 	}
 }
 
-// TestDirtyTrackingSkipsCleanCorpus: a building whose fingerprint matches
-// its last successful run is not re-enqueued; a changed fingerprint is.
-func TestDirtyTrackingSkipsCleanCorpus(t *testing.T) {
-	var runs int32
-	s, err := New(1, func(ctx context.Context, b string) error {
-		atomic.AddInt32(&runs, 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx := context.Background()
-	s.Mark("Lab1", "fp1")
-	if err := s.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if s.Mark("Lab1", "fp1") {
-			t.Error("clean building re-enqueued")
-		}
-	}
-	if err := s.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&runs); got != 1 {
-		t.Fatalf("clean corpus reconstructed %d times, want 1", got)
-	}
-	if !s.Mark("Lab1", "fp2") {
-		t.Error("changed fingerprint did not enqueue")
-	}
-	if err := s.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&runs); got != 2 {
-		t.Fatalf("dirty corpus: %d runs, want 2", got)
-	}
-}
-
-// TestFailedRunStaysDirty: a failed job does not record its fingerprint
-// as done, so the next Mark with the same corpus redrives it (the
-// periodic scan is the retry loop), without a hot requeue loop.
+// TestFailedRunStaysDirty: a failed job is not requeued by the scheduler
+// itself; the next Mark with the same corpus redrives it (the periodic
+// scan is the retry loop), without a hot requeue loop.
 func TestFailedRunStaysDirty(t *testing.T) {
 	var runs int32
 	boom := errors.New("boom")
@@ -219,7 +180,35 @@ func TestFailedRunStaysDirty(t *testing.T) {
 	}
 }
 
-// TestFIFOOrder: dirty buildings run in Mark order on one worker — a big
+// TestMarkRedrivesSameCorpus: the scheduler keeps no record of what
+// already ran, so a Mark with the fingerprint of a successful run
+// enqueues the building again — how a caller repairs lost artifacts of
+// an unchanged corpus, as often as they are lost.
+func TestMarkRedrivesSameCorpus(t *testing.T) {
+	var runs int32
+	s, err := New(1, func(ctx context.Context, b string) error {
+		atomic.AddInt32(&runs, 1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	for want := int32(1); want <= 3; want++ {
+		if !s.Mark("Lab1", "fp1") {
+			t.Fatalf("Mark %d did not enqueue an idle building", want)
+		}
+		if err := s.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := atomic.LoadInt32(&runs); got != want {
+			t.Fatalf("runs = %d, want %d", got, want)
+		}
+	}
+}
+
+// TestFIFOOrder: marked buildings run in Mark order on one worker — a big
 // building queued first does not let later marks jump ahead, and vice
 // versa small buildings queued first are not starved by a later big one.
 func TestFIFOOrder(t *testing.T) {
@@ -259,8 +248,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 // TestDrainFinishesInflightAndAbandonsQueue: Drain lets the running job
-// finish, never starts the queued one, and leaves both buildings' dirty
-// state consistent (the finished one clean, the abandoned one dirty).
+// finish and never starts the queued one.
 func TestDrainFinishesInflightAndAbandonsQueue(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})

@@ -1,7 +1,7 @@
 package server
 
-// Read-tier HTTP surface: versioned plan serving (vector JSON + rendered
-// PNG, with ETag/If-None-Match revalidation) and the localization
+// Read-tier HTTP surface: versioned plan serving (vector JSON, rendered
+// PNG and SVG, with ETag/If-None-Match revalidation) and the localization
 // endpoint, both delegating to a mapserve.Service. The routes are always
 // registered — a server built without WithMapServe answers them 404 — so
 // the route table (and the docs/API.md drift check over it) does not
@@ -53,14 +53,16 @@ func etagMatches(header, etag string) bool {
 
 // servePlanArtifact writes one plan artifact with conditional-GET
 // semantics: ETag + Cache-Control on every response, 304 with no body
-// when If-None-Match matches the current version.
+// when If-None-Match matches the current version. A version without the
+// artifact (an SVG-less record from an older daemon) answers 404.
 func (s *Server) servePlanArtifact(w http.ResponseWriter, r *http.Request, contentType string, pick func(mapserve.PlanView) []byte) {
 	if s.maps == nil {
 		http.NotFound(w, r)
 		return
 	}
 	v, ok := s.maps.Plan(r.PathValue("building"))
-	if !ok {
+	body := pick(v)
+	if !ok || len(body) == 0 {
 		http.NotFound(w, r)
 		return
 	}
@@ -77,7 +79,7 @@ func (s *Server) servePlanArtifact(w http.ResponseWriter, r *http.Request, conte
 		return
 	}
 	h.Set("Content-Type", contentType)
-	_, _ = w.Write(pick(v))
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleBuildingPlan(w http.ResponseWriter, r *http.Request) {
@@ -88,6 +90,11 @@ func (s *Server) handleBuildingPlan(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBuildingPlanPNG(w http.ResponseWriter, r *http.Request) {
 	s.servePlanArtifact(w, r, "image/png",
 		func(v mapserve.PlanView) []byte { return v.PNG })
+}
+
+func (s *Server) handleBuildingPlanSVG(w http.ResponseWriter, r *http.Request) {
+	s.servePlanArtifact(w, r, "image/svg+xml",
+		func(v mapserve.PlanView) []byte { return v.SVG })
 }
 
 // LocateRequest is the POST /api/v1/buildings/{building}/locate body: one

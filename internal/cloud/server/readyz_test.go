@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"crowdmap/internal/cloud/integrity"
+	"crowdmap/internal/cloud/mapserve"
 	"crowdmap/internal/cloud/store"
 	"crowdmap/internal/obs"
 )
@@ -71,62 +71,66 @@ func TestReadyzDefaultReady(t *testing.T) {
 	}
 }
 
-// TestPlanRoundTripAndCorruption: the legacy SVG plan endpoints store
-// under an integrity envelope; a document corrupted at rest is
-// quarantined and answered 404, never served.
+// TestPlanRoundTripAndCorruption: a published plan's record is stored
+// under an integrity envelope; a record corrupted at rest is quarantined
+// by a restarted read tier and answered 404, never served.
 func TestPlanRoundTripAndCorruption(t *testing.T) {
 	st := store.New()
-	reg := obs.New()
-	srv, err := New(st, WithObs(reg))
+	res, _ := serveResult(t, testCapture(t), nil)
+	svg, err := res.Plan.RenderSVG()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	svg := []byte("<svg>plan</svg>")
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/api/v1/plans/Lab2", bytes.NewReader(svg))
-	resp, err := ts.Client().Do(req)
+	ms, err := mapserve.New(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("put plan = %d", resp.StatusCode)
+	if _, err := ms.Publish(serveBuilding, res); err != nil {
+		t.Fatal(err)
 	}
-	get := func() (*http.Response, string) {
+	// get serves plan.svg from a freshly started read tier over st.
+	get := func(reg *obs.Registry) (int, []byte) {
 		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + "/api/v1/plans/Lab2")
+		ms, err := mapserve.New(st, mapserve.WithObs(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv, err := New(st, WithObs(reg), WithMapServe(ms))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		resp := getPlan(t, ts, "/api/v1/buildings/"+serveBuilding+"/plan.svg", "")
 		var buf bytes.Buffer
 		_, _ = buf.ReadFrom(resp.Body)
 		resp.Body.Close()
-		return resp, buf.String()
+		return resp.StatusCode, buf.Bytes()
 	}
-	if resp, body := get(); resp.StatusCode != http.StatusOK || !strings.Contains(body, "plan") {
-		t.Fatalf("get plan = %d %q", resp.StatusCode, body)
+	if code, body := get(obs.New()); code != http.StatusOK || !bytes.Equal(body, svg) {
+		t.Fatalf("get plan = %d, %d bytes", code, len(body))
 	}
 
-	// Rot the stored document; the envelope catches it.
-	raw, ok := st.Get(CollPlans, "Lab2")
+	// Rot the stored record; the envelope catches it.
+	key := serveBuilding + "/plan"
+	raw, ok := st.Get(mapserve.CollServe, key)
 	if !ok {
-		t.Fatal("plan doc missing from store")
+		t.Fatal("plan record missing from store")
 	}
 	mut := append([]byte(nil), raw...)
 	mut[len(mut)-1] ^= 0x01
-	if err := st.Put(CollPlans, "Lab2", mut); err != nil {
+	if err := st.Put(mapserve.CollServe, key, mut); err != nil {
 		t.Fatal(err)
 	}
-	if resp, body := get(); resp.StatusCode != http.StatusNotFound || strings.Contains(body, "plan") {
-		t.Fatalf("corrupt plan served: %d %q", resp.StatusCode, body)
+	reg := obs.New()
+	if code, body := get(reg); code != http.StatusNotFound || bytes.Contains(body, []byte("<svg")) {
+		t.Fatalf("corrupt plan served: %d %q", code, body)
 	}
 	c := reg.Snapshot().Counters
-	if c["plans.get.corrupt"] != 1 || c["integrity.quarantined"] != 1 {
+	if c["mapserve.plan.corrupt"] != 1 || c["integrity.quarantined"] != 1 {
 		t.Fatalf("corruption counters = %v", c)
 	}
-	if _, ok := st.Get(integrity.QuarantineColl, CollPlans+"/Lab2"); !ok {
+	if _, ok := st.Get(integrity.QuarantineColl, mapserve.CollServe+"/"+key); !ok {
 		t.Fatal("corrupt plan not quarantined")
 	}
 }

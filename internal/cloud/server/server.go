@@ -13,18 +13,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crowdmap/internal/cloud/integrity"
 	"crowdmap/internal/cloud/mapserve"
 	"crowdmap/internal/cloud/store"
 	"crowdmap/internal/obs"
 	"crowdmap/internal/quality"
 )
 
-// Collections in the backing store.
-const (
-	CollCaptures = "captures" // assembled capture archives (zip bytes)
-	CollPlans    = "plans"    // rendered floor plans (SVG bytes)
-)
+// CollCaptures is the store collection of assembled capture archives
+// (zip bytes). Plans live in the read tier (mapserve.CollServe).
+const CollCaptures = "captures"
 
 // ChunkSize is the upload chunk size; the paper splits uploads into 5 MB
 // chunks for transmission.
@@ -80,9 +77,6 @@ type Server struct {
 	ready atomic.Bool
 	// startNotReady defers readiness until MarkReady (set by WithNotReady).
 	startNotReady bool
-	// keep integrity-envelopes the documents the server persists directly
-	// (legacy SVG plans); corrupt documents 404 instead of serving rot.
-	keep *integrity.Keeper
 
 	maxPending int
 	uploadTTL  time.Duration
@@ -200,7 +194,6 @@ func New(st *store.Store, opts ...Option) (*Server, error) {
 	if s.obs == nil {
 		s.obs = obs.New()
 	}
-	s.keep = integrity.NewKeeper(st, s.obs)
 	s.ready.Store(!s.startNotReady)
 	now := s.now()
 	for id, ru := range s.recovered {
@@ -275,10 +268,9 @@ func (s *Server) evictStaleLocked(now time.Time) {
 //	GET  /api/v1/captures/{id}/status                  — upload progress
 //	GET  /api/v1/captures                              — list capture IDs
 //	GET  /api/v1/captures/{id}                         — download archive
-//	PUT  /api/v1/plans/{building}                      — store a plan SVG
-//	GET  /api/v1/plans/{building}                      — download plan SVG
 //	GET  /api/v1/buildings/{building}/plan             — versioned vector plan (ETag/304)
 //	GET  /api/v1/buildings/{building}/plan.png         — versioned occupancy-grid PNG (ETag/304)
+//	GET  /api/v1/buildings/{building}/plan.svg         — versioned SVG rendition (ETag/304)
 //	POST /api/v1/buildings/{building}/locate           — localize one frame on the plan
 //	GET  /metrics                                      — metrics snapshot (JSON)
 //	GET  /healthz                                      — liveness
@@ -297,10 +289,9 @@ func (s *Server) Handler() http.Handler {
 	route("GET /api/v1/captures/{id}/status", "captures.status", s.handleUploadStatus)
 	route("GET /api/v1/captures", "captures.list", s.handleListCaptures)
 	route("GET /api/v1/captures/{id}", "captures.get", s.handleGetCapture)
-	route("PUT /api/v1/plans/{building}", "plans.put", s.handlePutPlan)
-	route("GET /api/v1/plans/{building}", "plans.get", s.handleGetPlan)
 	route("GET /api/v1/buildings/{building}/plan", "buildings.plan", s.handleBuildingPlan)
 	route("GET /api/v1/buildings/{building}/plan.png", "buildings.plan_png", s.handleBuildingPlanPNG)
+	route("GET /api/v1/buildings/{building}/plan.svg", "buildings.plan_svg", s.handleBuildingPlanSVG)
 	route("POST /api/v1/buildings/{building}/locate", "buildings.locate", s.handleLocate)
 	mux.Handle("GET /metrics", obs.Handler(s.obs))
 	route("GET /healthz", "healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -537,37 +528,6 @@ func (s *Server) handleGetCapture(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/zip")
-	_, _ = w.Write(data)
-}
-
-func (s *Server) handlePutPlan(w http.ResponseWriter, r *http.Request) {
-	building := r.PathValue("building")
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, 32<<20)); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.keep.Put(CollPlans, building, buf.Bytes()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
-}
-
-func (s *Server) handleGetPlan(w http.ResponseWriter, r *http.Request) {
-	data, ok, err := s.keep.Get(CollPlans, r.PathValue("building"))
-	if err != nil {
-		// Corrupt on disk: quarantined by the keeper, 404 to the client
-		// (the processor's next scan notices the loss and re-renders).
-		s.obs.Counter("plans.get.corrupt").Inc()
-		http.NotFound(w, r)
-		return
-	}
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "image/svg+xml")
 	_, _ = w.Write(data)
 }
 

@@ -217,41 +217,57 @@ func TestChunkParameterValidation(t *testing.T) {
 	}
 }
 
+// TestPlanStorage: the read tier is the one plan store. GET plan.svg
+// serves floorplan.Plan.RenderSVG of the published result under the
+// version's ETag, answers a matching If-None-Match with 304, and 404s a
+// building with no plan; no route lets a client write a plan.
 func TestPlanStorage(t *testing.T) {
-	_, ts := newTestServer(t)
-	svg := `<svg>plan</svg>`
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/api/v1/plans/Lab1", strings.NewReader(svg))
+	_, ts, c, _ := newMapServer(t)
+	res, _ := serveResult(t, c, nil)
+	want, err := res.Plan.RenderSVG()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Do(req)
-	if err != nil {
+	path := "/api/v1/buildings/" + serveBuilding + "/plan.svg"
+	resp := getPlan(t, ts, path, "")
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("put plan status = %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body.Bytes(), want) {
+		t.Fatalf("plan.svg = %d, %d bytes; want 200 and the plan's %d-byte RenderSVG", resp.StatusCode, body.Len(), len(want))
 	}
-	got, err := ts.Client().Get(ts.URL + "/api/v1/plans/Lab1")
-	if err != nil {
-		t.Fatal(err)
+	if ct := resp.Header.Get("Content-Type"); ct != "image/svg+xml" {
+		t.Errorf("Content-Type = %q", ct)
 	}
-	defer got.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(got.Body); err != nil {
-		t.Fatal(err)
+	etag := resp.Header.Get("ETag")
+	png := getPlan(t, ts, "/api/v1/buildings/"+serveBuilding+"/plan.png", "")
+	png.Body.Close()
+	if png.Header.Get("ETag") != etag || etag == "" {
+		t.Errorf("plan.svg ETag %q, plan.png ETag %q: want the version's one ETag", etag, png.Header.Get("ETag"))
 	}
-	if buf.String() != svg {
-		t.Errorf("plan = %q", buf.String())
+	notMod := getPlan(t, ts, path, etag)
+	notMod.Body.Close()
+	if notMod.StatusCode != http.StatusNotModified {
+		t.Errorf("If-None-Match %s: status %d, want 304", etag, notMod.StatusCode)
 	}
-	// Missing plan 404s.
-	missing, err := ts.Client().Get(ts.URL + "/api/v1/plans/Gym")
-	if err != nil {
-		t.Fatal(err)
-	}
+	missing := getPlan(t, ts, "/api/v1/buildings/Gym/plan.svg", "")
 	missing.Body.Close()
 	if missing.StatusCode != http.StatusNotFound {
-		t.Errorf("missing plan status = %d", missing.StatusCode)
+		t.Errorf("missing plan status = %d, want 404", missing.StatusCode)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/api/v1/plans/"+serveBuilding, strings.NewReader("<svg/>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put.Body.Close()
+	if put.StatusCode != http.StatusNotFound {
+		t.Errorf("PUT /api/v1/plans/%s = %d, want 404 (no client-writable plan route)", serveBuilding, put.StatusCode)
 	}
 }
 

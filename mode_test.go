@@ -269,3 +269,39 @@ func TestParseMode(t *testing.T) {
 		t.Error("Validate accepted an unknown mode")
 	}
 }
+
+// TestResultCorpusIsTheInputSurvivors pins Result.Corpus: the corpus
+// fingerprint of the caller's captures minus the excluded ones, taken
+// from the inputs as passed (not the gate's sanitized copies) and before
+// ReleaseFrames drops their pixels.
+func TestResultCorpusIsTheInputSurvivors(t *testing.T) {
+	caps, cfg := modeCorpus(t)
+	caps = caps[:4]
+	cfg.Mode = ModeTrajectory
+	cfg.ReleaseFrames = true
+	// One sample within the sanitization budget: the gate repairs a copy.
+	sanitized := *caps[1]
+	sanitized.ID = "sanitized-imu"
+	sanitized.IMU = append(sanitized.IMU[:0:0], sanitized.IMU...)
+	sanitized.IMU[len(sanitized.IMU)/2].GyroZ = math.NaN()
+	input := append([]*Capture{nanCapture(caps[0]), &sanitized}, caps...)
+	want := CorpusFingerprint(input[1:])
+	inputFP := sanitized.Fingerprint()
+
+	res, err := Reconstruct(input, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Excluded) != 1 || res.Excluded[0].CaptureID != input[0].ID {
+		t.Fatalf("excluded = %+v, want only %s", res.Excluded, input[0].ID)
+	}
+	if res.Tracks[1] == nil || res.Tracks[1].Hash == inputFP {
+		t.Fatal("the gate did not sanitize a copy of the repairable capture")
+	}
+	if input[2].Frames != nil {
+		t.Fatal("ReleaseFrames kept the input frames")
+	}
+	if res.Corpus != want {
+		t.Errorf("Corpus = %.12s, want the input survivors' %.12s", res.Corpus, want)
+	}
+}

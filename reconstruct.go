@@ -52,6 +52,11 @@ type Result struct {
 	Excluded []Exclusion
 	// Coverage summarizes how much of the input corpus the plan rests on.
 	Coverage Coverage
+	// Corpus is the CorpusFingerprint of the input captures minus the
+	// Excluded ones: exactly the set the plan is a function of. A caller
+	// that stores the plan under it can tell whether a later corpus still
+	// yields the same plan without running the pipeline.
+	Corpus string
 }
 
 // Exclusion records one capture a reconstruction run completed without.
@@ -160,12 +165,13 @@ func (e *CaptureError) Error() string {
 
 func (e *CaptureError) Unwrap() error { return e.Err }
 
-// Stage names recorded in a checkpoint journal (Config.Checkpoints).
+// Stage names. StagePairs is the one stage recorded in a checkpoint
+// journal (Config.Checkpoints): its payload, the pair decisions, is what
+// a resumed run reloads. StageKeyframes names extraction failures in
+// Result.Excluded.
 const (
 	StageKeyframes = "keyframes"
 	StagePairs     = "pairs"
-	StageSkeleton  = "skeleton"
-	StagePlan      = "plan"
 )
 
 // StageQualityGate names the pre-pipeline quality gate in
@@ -177,14 +183,35 @@ const StageQualityGate = "quality"
 // over the sorted per-capture content fingerprints. Checkpoints are keyed
 // by it, so adding, removing, or altering any capture invalidates them.
 func CorpusFingerprint(captures []*Capture) string {
-	fps := make([]string, len(captures))
+	return CorpusFingerprintOf(corpusEntries(captures))
+}
+
+func corpusEntries(captures []*Capture) []CorpusEntry {
+	entries := make([]CorpusEntry, len(captures))
 	for i, c := range captures {
-		fps[i] = c.ID + ":" + c.Fingerprint()
+		entries[i] = CorpusEntry{ID: c.ID, Fingerprint: c.Fingerprint()}
 	}
-	sort.Strings(fps)
+	return entries
+}
+
+// CorpusEntry is one capture's term in a corpus fingerprint: its
+// declared ID and its content fingerprint (Capture.Fingerprint).
+type CorpusEntry struct {
+	ID, Fingerprint string
+}
+
+// CorpusFingerprintOf is CorpusFingerprint over precomputed entries, in
+// any order: a caller that caches each capture's entry can fingerprint a
+// corpus without holding its decoded captures.
+func CorpusFingerprintOf(entries []CorpusEntry) string {
+	terms := make([]string, len(entries))
+	for i, e := range entries {
+		terms[i] = e.ID + ":" + e.Fingerprint
+	}
+	sort.Strings(terms)
 	h := sha256.New()
-	for _, fp := range fps {
-		h.Write([]byte(fp))
+	for _, t := range terms {
+		h.Write([]byte(t))
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -243,9 +270,13 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 	if cfg.JobID == "" {
 		ckpt = nil
 	}
+	// Corpus entries come from the caller's captures, not the gate's
+	// sanitized copies, and are taken before ReleaseFrames drops the
+	// pixels they cover.
+	entries := corpusEntries(captures)
 	fp := ""
 	if ckpt != nil {
-		fp = CorpusFingerprint(captures)
+		fp = CorpusFingerprintOf(entries)
 	}
 	// Metrics: use the caller's registry when provided so stage timings
 	// appear on a shared /metrics endpoint; fall back to a private one.
@@ -355,23 +386,25 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 		}
 	}
 	errs, ctxErr := pipeline.MapAll(ctx, len(live), cfg.Workers, func(_ context.Context, i int) error {
-		// Fingerprints are computed before ReleaseFrames drops the pixels
-		// they cover. A delta run keys its track memo by the (sanitized)
-		// capture fingerprint: a hit skips extraction entirely — the gate
-		// and extraction are deterministic, so the memoized track is what
-		// extraction would produce.
-		var capFP string
+		// The track's fingerprint is the gated capture's: its corpus
+		// entry, or a fresh hash of the copy the gate sanitized, taken
+		// before ReleaseFrames drops the pixels it covers. A delta run
+		// keys its track memo by it: a hit skips extraction entirely —
+		// the gate and extraction are deterministic, so the memoized track
+		// is what extraction would produce.
+		capFP := entries[origIdx[i]].Fingerprint
+		if live[i] != captures[origIdx[i]] {
+			capFP = live[i].Fingerprint()
+		}
 		if ds != nil {
 			// The delta config signature covers cfg.Mode and routing is
 			// deterministic in (content, params, mode), so a memo hit
 			// returns a track of the shape this run's route would build.
-			tr, fp, hit := ds.lookupTrack(live[i], scores[i])
-			if hit {
+			if tr, hit := ds.lookupTrack(capFP, scores[i]); hit {
 				liveTracks[i] = tr
 				release(i)
 				return nil
 			}
-			capFP = fp
 		}
 		var kfs []*KeyFrame
 		var traj *Trajectory
@@ -383,9 +416,6 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 		}
 		if err != nil {
 			return &CaptureError{CaptureID: live[i].ID, Err: err}
-		}
-		if capFP == "" {
-			capFP = live[i].Fingerprint()
 		}
 		liveTracks[i] = &aggregate.Track{
 			ID:      live[i].ID,
@@ -429,6 +459,13 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 	if len(tracks) == 0 {
 		return nil, fmt.Errorf("crowdmap: no captures survived extraction (%d excluded)", len(res.Excluded))
 	}
+	used := make([]CorpusEntry, 0, len(tracks))
+	for i, tr := range res.Tracks {
+		if tr != nil {
+			used = append(used, entries[i])
+		}
+	}
+	res.Corpus = CorpusFingerprintOf(used)
 	captures = liveCaps
 	trajUsed := 0
 	for _, r := range trackRoute {
@@ -448,9 +485,6 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 	reg.Counter("reconstruct.mode.routed.trajectory").Add(int64(trajUsed))
 	reg.Counter("reconstruct.excluded").Add(int64(len(res.Excluded)))
 	extractDone()
-	// Checkpoint writes are best-effort: losing one costs recomputation on
-	// the next attempt, never correctness.
-	_ = ckpt.Complete(cfg.JobID, StageKeyframes, fp, nil)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -491,6 +525,8 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 		if cfg.PairCache != nil {
 			payload, _ = cfg.PairCache.ExportJSON()
 		}
+		// Checkpoint writes are best-effort: losing one costs
+		// recomputation on the next attempt, never correctness.
 		_ = ckpt.Complete(cfg.JobID, StagePairs, fp, payload)
 	}
 	if err := ctx.Err(); err != nil {
@@ -526,7 +562,6 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 		return nil, fmt.Errorf("crowdmap: skeleton: %w", err)
 	}
 	skelDone()
-	_ = ckpt.Complete(cfg.JobID, StageSkeleton, fp, nil)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -609,7 +644,6 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 		Trajectories: global,
 	}
 	totalDone()
-	_ = ckpt.Complete(cfg.JobID, StagePlan, fp, nil)
 	ds.finish()
 	res.Metrics = reg.Snapshot()
 	return res, nil

@@ -240,17 +240,15 @@ func (d *deltaRun) begin(reg *obs.Registry) {
 	}
 }
 
-// lookupTrack returns the memoized track for a gated capture,
-// re-stamped with this run's quality score. The returned fingerprint
-// lets a missing caller reuse the hash computation.
-func (d *deltaRun) lookupTrack(c *Capture, score float64) (*Track, string, bool) {
-	fp := c.Fingerprint()
+// lookupTrack returns the memoized track for a gated capture's content
+// fingerprint, re-stamped with this run's quality score.
+func (d *deltaRun) lookupTrack(fp string, score float64) (*Track, bool) {
 	d.state.memoMu.Lock()
 	t := d.state.tracks[fp]
 	d.state.memoMu.Unlock()
 	if t == nil {
 		d.reg.Counter("reconstruct.delta.tracks.extracted").Inc()
-		return nil, fp, false
+		return nil, false
 	}
 	d.markTrackUsed(fp)
 	d.reg.Counter("reconstruct.delta.tracks.reused").Inc()
@@ -259,7 +257,7 @@ func (d *deltaRun) lookupTrack(c *Capture, score float64) (*Track, string, bool)
 	// gating means the score is the same for the same content anyway.
 	cp := *t
 	cp.Quality = score
-	return &cp, fp, true
+	return &cp, true
 }
 
 // storeTrack memoizes a freshly extracted track. Nil-safe for the batch

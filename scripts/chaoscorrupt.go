@@ -3,10 +3,11 @@
 // Chaoscorrupt flips one bit of a persisted document in a crowdmapd data
 // directory — offline, through the WAL, so the damage is durable and
 // replayed on the next boot exactly like real at-rest rot. The CI chaos
-// smoke test uses it between daemon runs to prove the scrubber detects,
-// quarantines, and repairs the document:
+// smoke test uses it between daemon runs to prove the daemon detects,
+// quarantines, and repairs the document (by default a building's
+// read-tier plan record):
 //
-//	go run scripts/chaoscorrupt.go -data-dir /var/lib/crowdmap -coll plans -key Lab2
+//	go run scripts/chaoscorrupt.go -data-dir /var/lib/crowdmap -coll mapserve -key Lab2/plan
 //
 // The daemon must not be running: the WAL dir is single-writer.
 package main
@@ -21,8 +22,8 @@ import (
 
 func main() {
 	dataDir := flag.String("data-dir", "", "crowdmapd WAL data directory (required)")
-	coll := flag.String("coll", "plans", "collection of the document to corrupt")
-	key := flag.String("key", "Lab2", "key of the document to corrupt")
+	coll := flag.String("coll", "mapserve", "collection of the document to corrupt")
+	key := flag.String("key", "Lab2/plan", "key of the document to corrupt")
 	bit := flag.Uint("bit", 6, "bit to flip (0-7) at the document's midpoint")
 	flag.Parse()
 	if *dataDir == "" {

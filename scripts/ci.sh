@@ -13,6 +13,9 @@ go build ./...
 
 echo "== go vet =="
 go vet ./...
+# The end-to-end benchmark is its own module and compiles against this
+# tree's packages: vet it too, so a break in the API it uses fails here.
+(cd crowdbench && go vet ./...)
 
 echo "== go test -race =="
 # Package test binaries run concurrently and share the CPU, so the
@@ -130,7 +133,7 @@ done
 # The scan picks the corpus up within -interval; poll for the plan.
 plan_ok=0
 for i in $(seq 1 120); do
-	if curl -fsS -o /dev/null http://127.0.0.1:18743/api/v1/plans/Lab2 2>/dev/null; then
+	if curl -fsS -o /dev/null http://127.0.0.1:18743/api/v1/buildings/Lab2/plan.svg 2>/dev/null; then
 		plan_ok=1; break
 	fi
 	sleep 1
@@ -148,8 +151,9 @@ echo "smoke2: 422 for corrupt archive, daemon healthy, good uploads reconstructe
 # building job runs the delta path), build a plan from three captures,
 # then upload one more and require that the incremental run reuses every
 # previously extracted track — the end-to-end check that an upload to a
-# reconstructed building costs O(delta), not a full re-run. Reuse is
-# asserted through the reconstruct.delta.* counters on /metrics.
+# reconstructed building costs O(delta), not a full re-run — and that the
+# upload costs exactly one pipeline run. Both are asserted through the
+# reconstruct.* counters on /metrics.
 echo "== delta reconstruction smoke test =="
 go run ./cmd/datagen -building Lab2 -walks 4 -visits 0 -users 1 -out "$smoke/deltacaps"
 "$smoke/crowdmapd" -addr 127.0.0.1:18744 -interval 1s -hypotheses 200 \
@@ -173,7 +177,7 @@ for cap in $first; do
 done
 plan_ok=0
 for i in $(seq 1 120); do
-	if curl -fsS -o /dev/null http://127.0.0.1:18744/api/v1/plans/Lab2 2>/dev/null; then
+	if curl -fsS -o /dev/null http://127.0.0.1:18744/api/v1/buildings/Lab2/plan.svg 2>/dev/null; then
 		plan_ok=1; break
 	fi
 	sleep 1
@@ -186,6 +190,7 @@ metric() {
 		grep -o "\"$1\": *[0-9]*" | head -n 1 | grep -o '[0-9]*$'
 }
 extracted_before=$(metric reconstruct.delta.tracks.extracted)
+runs_before=$(metric reconstruct.runs)
 id=$(basename "$last" .zip)
 curl -fsS -o /dev/null --data-binary @"$last" \
 	"http://127.0.0.1:18744/api/v1/captures/$id/chunks?index=0&total=1"
@@ -201,8 +206,14 @@ if [ "$delta_ok" -ne 1 ]; then
 	echo "smoke3: second (incremental) reconstruction never ran"
 	cat "$smoke/daemon3.log"; exit 1
 fi
+sleep 3 # a few more scans: a current building must not run again
 reused=$(metric reconstruct.delta.tracks.reused)
 extracted=$(metric reconstruct.delta.tracks.extracted)
+runs=$(metric reconstruct.runs)
+if [ "$((runs - runs_before))" -ne 1 ]; then
+	echo "smoke3: the incremental upload cost $((runs - runs_before)) pipeline runs, want exactly 1"
+	cat "$smoke/daemon3.log"; exit 1
+fi
 if [ "${reused:-0}" -lt 3 ]; then
 	echo "smoke3: tracks.reused=$reused, want >= 3 (delta ran as a full rebuild)"
 	cat "$smoke/daemon3.log"; exit 1
@@ -211,7 +222,7 @@ if [ "$((extracted - extracted_before))" -gt 1 ]; then
 	echo "smoke3: incremental run extracted $((extracted - extracted_before)) tracks, want <= 1"
 	cat "$smoke/daemon3.log"; exit 1
 fi
-curl -fsS -o /dev/null http://127.0.0.1:18744/api/v1/plans/Lab2 || {
+curl -fsS -o /dev/null http://127.0.0.1:18744/api/v1/buildings/Lab2/plan.svg || {
 	echo "smoke3: plan gone after incremental run"; cat "$smoke/daemon3.log"; exit 1; }
 kill -TERM "$daemon3"
 wait "$daemon3" || { echo "smoke3: daemon exited nonzero"; cat "$smoke/daemon3.log"; exit 1; }
@@ -245,7 +256,7 @@ for cap in "$smoke"/imucaps/*.zip; do
 done
 plan_ok=0
 for i in $(seq 1 120); do
-	if curl -fsS -o /dev/null http://127.0.0.1:18745/api/v1/plans/Lab2 2>/dev/null; then
+	if curl -fsS -o /dev/null http://127.0.0.1:18745/api/v1/buildings/Lab2/plan.svg 2>/dev/null; then
 		plan_ok=1; break
 	fi
 	sleep 1
@@ -270,11 +281,15 @@ trap 'rm -rf "$smoke"' EXIT
 echo "smoke4: trajectory-mode plan served ($routed IMU-only captures routed)"
 
 # Corruption-repair smoke test: reconstruct a plan into a durable data
-# dir, stop the daemon, flip one bit of the persisted plan document
-# offline (scripts/chaoscorrupt.go writes the rot through the WAL), and
-# restart with a tight scrub interval. The scrubber must detect and
-# quarantine the corrupt document, the self-healing scan must rebuild it,
-# and the plan must be served again — corrupt bytes never reach a client.
+# dir, stop the daemon, flip one bit of the persisted read-tier plan
+# record offline (scripts/chaoscorrupt.go writes the rot through the WAL),
+# and restart with a tight scrub interval. The startup scrub must detect
+# and quarantine the corrupt record, the scan must find the building no
+# longer current and rebuild it, and the plan must be served again under
+# the ETag it had before — corrupt bytes never reach a client. The record
+# is quarantined before the restarted daemon ever loads it, so the
+# republish is a new version of the same content, not a same-version
+# repair.
 echo "== corruption-repair smoke test =="
 go run ./cmd/datagen -building Lab2 -walks 3 -visits 0 -users 1 -out "$smoke/chaoscaps"
 "$smoke/crowdmapd" -addr 127.0.0.1:18746 -data-dir "$smoke/chaosdata" \
@@ -293,19 +308,24 @@ for cap in "$smoke"/chaoscaps/*.zip; do
 	curl -fsS -o /dev/null --data-binary @"$cap" \
 		"http://127.0.0.1:18746/api/v1/captures/$id/chunks?index=0&total=1"
 done
-plan_ok=0
+etag() {
+	curl -fsS -o /dev/null -D - http://127.0.0.1:18746/api/v1/buildings/Lab2/plan.svg 2>/dev/null |
+		tr -d '\r' | sed -n 's/^[Ee][Tt][Aa][Gg]: *//p'
+}
+etag_before=""
 for i in $(seq 1 120); do
-	if curl -fsS -o /dev/null http://127.0.0.1:18746/api/v1/plans/Lab2 2>/dev/null; then
-		plan_ok=1; break
-	fi
+	etag_before=$(etag || true)
+	[ -n "$etag_before" ] && break
 	sleep 1
 done
-if [ "$plan_ok" -ne 1 ]; then
+if [ -z "$etag_before" ]; then
 	echo "smoke5: no plan before the corruption"; cat "$smoke/daemon5.log"; exit 1
 fi
+sleep 3 # let any job the last upload started finish publishing
+etag_before=$(etag)
 kill -TERM "$daemon5"
 wait "$daemon5" || { echo "smoke5: daemon exited nonzero"; cat "$smoke/daemon5.log"; exit 1; }
-go run scripts/chaoscorrupt.go -data-dir "$smoke/chaosdata" -coll plans -key Lab2
+go run scripts/chaoscorrupt.go -data-dir "$smoke/chaosdata" -coll mapserve -key Lab2/plan
 "$smoke/crowdmapd" -addr 127.0.0.1:18746 -data-dir "$smoke/chaosdata" \
 	-interval 1s -scrub-interval 1s -hypotheses 200 -drain-timeout 20s \
 	>"$smoke/daemon5b.log" 2>&1 &
@@ -317,31 +337,25 @@ metric5() {
 repair_ok=0
 for i in $(seq 1 120); do
 	corrupt=$(metric5 scrub.corrupt 2>/dev/null || echo 0)
-	repaired=$(metric5 integrity.repaired 2>/dev/null || echo 0)
-	if [ "${corrupt:-0}" -ge 1 ] && [ "${repaired:-0}" -ge 1 ]; then
+	etag_after=$(etag || true)
+	if [ "${corrupt:-0}" -ge 1 ] && [ -n "$etag_after" ]; then
 		repair_ok=1; break
 	fi
 	sleep 1
 done
 if [ "$repair_ok" -ne 1 ]; then
-	echo "smoke5: corruption not detected+repaired (scrub.corrupt=${corrupt:-0} integrity.repaired=${repaired:-0})"
+	echo "smoke5: corruption not detected+repaired (scrub.corrupt=${corrupt:-0}, plan served: ${etag_after:-no})"
 	cat "$smoke/daemon5b.log"; exit 1
 fi
-plan_ok=0
-for i in $(seq 1 60); do
-	if curl -fsS -o "$smoke/repaired_plan.svg" http://127.0.0.1:18746/api/v1/plans/Lab2 2>/dev/null; then
-		plan_ok=1; break
-	fi
-	sleep 1
-done
-if [ "$plan_ok" -ne 1 ] || [ ! -s "$smoke/repaired_plan.svg" ]; then
-	echo "smoke5: plan not served after repair"; cat "$smoke/daemon5b.log"; exit 1
+if [ "$etag_after" != "$etag_before" ]; then
+	echo "smoke5: repaired plan served under ETag $etag_after, want $etag_before"
+	cat "$smoke/daemon5b.log"; exit 1
 fi
 quarantined=$(metric5 integrity.quarantined)
 kill -TERM "$daemon5"
 wait "$daemon5" || { echo "smoke5: daemon exited nonzero"; cat "$smoke/daemon5b.log"; exit 1; }
 trap 'rm -rf "$smoke"' EXIT
-echo "smoke5: bit-flip detected (quarantined=${quarantined:-0}), plan repaired and served"
+echo "smoke5: bit-flip detected (quarantined=${quarantined:-0}), plan repaired and served under $etag_after"
 
 # Docs checks: every internal package must carry a package comment, and
 # every intra-repo markdown link must point at a file that exists.
