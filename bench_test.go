@@ -637,7 +637,7 @@ func BenchmarkDeltaUpdate(b *testing.B) {
 	base, corpus, cfg := deltaBenchFixture(b)
 	ctx := context.Background()
 	warm := NewDeltaState()
-	if _, err := ReconstructDelta(ctx, base, cfg, warm); err != nil {
+	if _, err := ReconstructDelta(ctx, sourcesOf(base), cfg, warm); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -645,7 +645,7 @@ func BenchmarkDeltaUpdate(b *testing.B) {
 		b.StopTimer()
 		st := warm.Clone()
 		b.StartTimer()
-		if _, err := ReconstructDelta(ctx, corpus, cfg, st); err != nil {
+		if _, err := ReconstructDelta(ctx, sourcesOf(corpus), cfg, st); err != nil {
 			b.Fatal(err)
 		}
 	}

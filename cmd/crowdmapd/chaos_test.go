@@ -24,7 +24,7 @@ import (
 // built from the wrong capture set renders different bytes and the
 // byte-identity-against-clean-run invariant has teeth. It checkpoints the
 // pairs stage like the real pipeline.
-func chaosReconstruct(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+func chaosReconstruct(_ context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 	res := stubResult(cfg.JobID, captures)
 	fp := res.Corpus
 	mask := res.Plan.HallwayMask

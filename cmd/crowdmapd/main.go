@@ -21,20 +21,25 @@
 //	          [-quality lenient] [-mode vision] [-stage-budget D]
 //	          [-rebuild-every N] [-index-cache N] [-scrub-interval D] [-metrics]
 //
-// Reconstruction is scheduled per building: every -interval the capture
-// corpus is scanned and grouped by building, and buildings whose served
-// plan record names a corpus fingerprint other than their current one
-// (or whose record or index is gone) are enqueued on a pool of
-// -building-workers concurrent reconstruction jobs (one job per building
-// at a time, fair FIFO between buildings). The record is the only
+// Reconstruction is scheduled per building: a building whose served plan
+// record names a corpus fingerprint other than its current one (or whose
+// record or index is gone) is enqueued on a pool of -building-workers
+// concurrent reconstruction jobs (one job per building at a time, fair
+// FIFO between buildings). Each stored upload marks its building at
+// commit, before the client sees its 201 (once the startup scan has read
+// the captures stored before the daemon started); a reconciliation scan,
+// once at startup and then every -interval, applies the same rule to
+// every building, as the backstop for what no upload announces (dead
+// letters, failed jobs, read-tier rot, a recovered store). The record is the only
 // "is this building current?" signal: one upload costs one job, and a
 // job whose publish fails leaves the building out of date, so the next
-// scan retries it. Each building keeps incremental
-// reconstruction state in memory across cycles: a new upload costs only
-// its own key-frame extraction and its pair comparisons against the
-// existing corpus, with the occupancy grid patched and unchanged rooms
-// reused — the plan is byte-identical to a full rebuild. The first
-// change to a building after a restart is a full rebuild. -rebuild-every
+// scan retries it. Each building keeps incremental reconstruction state
+// in memory across cycles: a new upload costs only its own decode,
+// key-frame extraction and pair comparisons against the existing corpus,
+// with the occupancy grid patched and unchanged rooms reused — the plan
+// is byte-identical to a full rebuild. A job decodes only the archives
+// its memo lacks, each inside its extraction worker. The first change
+// to a building after a restart is a full rebuild. -rebuild-every
 // N forces a full rebuild every N-th cycle per building as a correctness
 // backstop (0 = never); progress is visible on the reconstruct.delta.*
 // metrics. The upload path applies admission control: a global in-flight
@@ -87,9 +92,9 @@
 // The HTTP API always serves GET /metrics with a JSON snapshot covering
 // ingestion (http.*, uploads.*, admission.*), durability (store.wal.*),
 // scheduling (queue.*, sched.*, drain.*) and reconstruction (stage.*,
-// keyframe.*, compare.*, aggregate.*, pipeline.resume.*) — every
-// subsystem shares one registry. The -metrics flag additionally logs a
-// snapshot after every scan.
+// keyframe.*, compare.*, aggregate.*, pipeline.resume.*,
+// crowdmapd.captures.decoded) — every subsystem shares one registry. The
+// -metrics flag additionally logs a snapshot after every scan.
 package main
 
 import (
@@ -229,20 +234,6 @@ func main() {
 		log.Printf("loaded snapshot: %d captures, %d plans",
 			st.Len(server.CollCaptures), len(maps.Buildings()))
 	}
-	serverOpts = append(serverOpts, server.WithMapServe(maps))
-	srv, err := server.New(st, serverOpts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	// The queue scheduler drives the periodic corpus scan; the scan feeds
-	// dirty buildings to the per-building scheduler inside the processor.
-	scanSched, err := queue.New(1, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	scanSched.SetObs(reg)
 	journal, err := pipeline.NewJournal(st, reg)
 	if err != nil {
 		log.Fatal(err)
@@ -263,26 +254,32 @@ func main() {
 		log.Fatal(err)
 	}
 	proc.loadPairCache()
-	// The scan runs under the retry policy: transient store failures back
-	// off and retry, and a scan that keeps failing is reported through the
-	// dead-letter queue instead of silently looping.
-	stop, err := scanSched.Every(*interval, scanSched.RetryJob(queue.Job{ID: "scan", Run: proc.scan}, queue.DefaultRetryPolicy()))
+	// Each stored upload marks its building at once through the commit
+	// hook, so a job starts before the 201 reaches the client.
+	serverOpts = append(serverOpts, server.WithMapServe(maps), server.WithOnStored(proc.stored))
+	srv, err := server.New(st, serverOpts...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The background scrubber shares the scan queue: one integrity pass at
-	// startup (catches rot from while the daemon was down), then every
-	// -scrub-interval. Corruption is quarantined and repair redriven
-	// through the normal scan/reconstruct path.
-	stopScrub := func() {}
-	if *scrubInt > 0 {
-		scrubJob := scanSched.RetryJob(queue.Job{ID: "scrub", Run: proc.scrub}, queue.DefaultRetryPolicy())
-		if stopScrub, err = scanSched.Every(*scrubInt, scrubJob); err != nil {
-			log.Fatal(err)
-		}
-		if err := scanSched.Submit(scrubJob); err != nil {
-			log.Printf("startup scrub: %v", err)
-		}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+
+	// The queue scheduler drives the reconciliation scan (once at startup,
+	// then every -interval) and the background scrubber (one integrity
+	// pass at startup, catching rot from while the daemon was down, then
+	// every -scrub-interval). Both run under the retry policy: transient
+	// store failures back off and retry, and a job that keeps failing is
+	// reported through the dead-letter queue instead of silently looping.
+	// The scan feeds stale buildings to the per-building scheduler inside
+	// the processor; corruption is quarantined and repair redriven through
+	// the same path.
+	scanSched, err := queue.New(1, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	scanSched.SetObs(reg)
+	stop, err := proc.schedule(scanSched, *interval, *scrubInt)
+	if err != nil {
+		log.Fatal(err)
 	}
 	go func() {
 		for r := range scanSched.Results() {
@@ -308,7 +305,6 @@ func main() {
 	//    against the restarted daemon), then stop scheduling new scans.
 	srv.StartDrain()
 	stop()
-	stopScrub()
 	scanSched.Close()
 	for _, d := range scanSched.DeadLetters() {
 		log.Printf("dead-letter: job %s failed %d attempts: %s", d.JobID, d.Attempts, d.Err)

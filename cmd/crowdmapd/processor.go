@@ -16,6 +16,7 @@ import (
 	"crowdmap/internal/cloud/integrity"
 	"crowdmap/internal/cloud/mapserve"
 	"crowdmap/internal/cloud/pipeline"
+	"crowdmap/internal/cloud/queue"
 	"crowdmap/internal/cloud/sched"
 	"crowdmap/internal/cloud/server"
 	"crowdmap/internal/cloud/store"
@@ -45,8 +46,10 @@ const minCaptures = 3
 // deadlines) never count: only deterministic pipeline failures do.
 const maxCaptureFailures = 3
 
-// processor turns stored captures into floor plans. Each scan groups the
-// capture corpus by building and computes a per-building corpus
+// processor turns stored captures into floor plans. The server's upload
+// commit hook (stored) marks the upload's building at once, and a
+// periodic scan reconciles the whole store as a backstop. Both group the
+// capture corpus by building and compute a per-building corpus
 // fingerprint; buildings whose served plan was not built from that corpus
 // (mapserve.Current) are enqueued on the per-building scheduler, which
 // runs them concurrently on a bounded worker pool (never two jobs for the
@@ -80,9 +83,9 @@ type processor struct {
 	sched *sched.Scheduler
 	// reconstruct is the pipeline entry point (crowdmap.ReconstructDelta);
 	// a field so tests can substitute a stub. Each building keeps a
-	// DeltaState across cycles, so a new upload costs only its own
+	// DeltaState across cycles, so a new upload costs only its own decode,
 	// extraction and pair comparisons instead of a full rebuild.
-	reconstruct func(ctx context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, state *crowdmap.DeltaState) (*crowdmap.Result, error)
+	reconstruct func(ctx context.Context, sources []crowdmap.CaptureSource, cfg crowdmap.Config, state *crowdmap.DeltaState) (*crowdmap.Result, error)
 	// rebuildEvery forces a periodic full rebuild per building as a
 	// correctness backstop (0 = never).
 	rebuildEvery int
@@ -108,15 +111,23 @@ type processor struct {
 	// made fail; at maxCaptureFailures the capture is dead-lettered. A
 	// successful cycle that includes a capture resets its count.
 	failures map[string]int
-	// meta caches per-capture scan metadata by store key, so the periodic
-	// scan decodes each archive once, not every tick.
+	// meta caches per-capture metadata by store key. The commit hook
+	// records an upload's from the server's own decode; the scan decodes
+	// only archives it has no current metadata for.
 	meta map[string]captureMeta
+	// metaComplete reports that meta covers every capture the store held
+	// when the processor was made: true from the start over an empty
+	// store, else from the end of the first refreshMeta. Until then the
+	// commit hook records metadata but marks nothing, since a building's
+	// corpus would still miss the captures the startup scan has not read;
+	// that scan marks the building instead.
+	metaComplete bool
 }
 
-// captureMeta is what the scan knows about a stored capture without
+// captureMeta is what the processor knows about a stored capture without
 // decoding it again: its building and corpus entry (declared ID and
-// content fingerprint), valid while its raw archive bytes still hash to
-// hash.
+// content fingerprint), valid while the store's digest of the archive
+// (store.Sum) is still hash.
 type captureMeta struct {
 	hash     string
 	building string
@@ -126,16 +137,17 @@ type captureMeta struct {
 func newProcessor(st *store.Store, maps *mapserve.Service, hypotheses, workers int) *processor {
 	qp := crowdmap.DefaultQualityParams()
 	return &processor{
-		st:          st,
-		maps:        maps,
-		hypotheses:  hypotheses,
-		workers:     workers,
-		quality:     &qp,
-		cache:       crowdmap.NewPairCache(0),
-		failures:    make(map[string]int),
-		meta:        make(map[string]captureMeta),
-		deltaStates: make(map[string]*crowdmap.DeltaState),
-		reconstruct: crowdmap.ReconstructDelta,
+		st:           st,
+		maps:         maps,
+		hypotheses:   hypotheses,
+		workers:      workers,
+		quality:      &qp,
+		cache:        crowdmap.NewPairCache(0),
+		failures:     make(map[string]int),
+		meta:         make(map[string]captureMeta),
+		metaComplete: st.Len(server.CollCaptures) == 0,
+		deltaStates:  make(map[string]*crowdmap.DeltaState),
+		reconstruct:  crowdmap.ReconstructDelta,
 	}
 }
 
@@ -157,6 +169,42 @@ func (p *processor) start(buildingWorkers int) error {
 	p.sched = s
 	p.keep = integrity.NewKeeper(p.st, p.obs)
 	return nil
+}
+
+// schedule puts the processor's periodic work on q, under q's retry
+// policy: the reconciliation scan every interval, plus one at once, so a
+// restarted daemon builds acked but unbuilt uploads without waiting an
+// interval; then, when scrubInterval is positive, the integrity scrub
+// every scrubInterval, plus one pass after that first scan. The returned
+// func stops the periodic jobs.
+func (p *processor) schedule(q *queue.Scheduler, interval, scrubInterval time.Duration) (stop func(), err error) {
+	var stops []func()
+	stop = func() {
+		for _, s := range stops {
+			s()
+		}
+	}
+	add := func(id string, run func(context.Context) error, every time.Duration) error {
+		j := q.RetryJob(queue.Job{ID: id, Run: run}, queue.DefaultRetryPolicy())
+		s, err := q.Every(every, j)
+		if err != nil {
+			return err
+		}
+		stops = append(stops, s)
+		if err := q.Submit(j); err != nil {
+			log.Printf("startup %s: %v", id, err)
+		}
+		return nil
+	}
+	err = add("scan", p.scan, interval)
+	if err == nil && scrubInterval > 0 {
+		err = add("scrub", p.scrub, scrubInterval)
+	}
+	if err != nil {
+		stop()
+		return nil, err
+	}
+	return stop, nil
 }
 
 // legacyPlans is the collection of SVG plan documents older daemons kept
@@ -272,25 +320,21 @@ func isTransient(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// scan is the periodic job: it refreshes the capture metadata, groups
-// the captures into building corpora and marks every building whose
-// served plan was not built from its current corpus. That covers a new,
-// changed or dead-lettered capture, a publish that failed, a record
-// written before records named their corpus, and read-tier rot that a
-// verified read or the scrubber quarantined. Buildings with fewer than
-// minCaptures captures wait for more.
+// scan is the reconciliation backstop: it refreshes the capture
+// metadata, groups the captures into building corpora and marks every
+// building whose served plan was not built from its current corpus.
+// Uploads through the server are marked at commit (stored); the scan
+// covers everything else: a dead-lettered capture, a publish or job that
+// failed, a record written before records named their corpus, read-tier
+// rot that a verified read or the scrubber quarantined, and the store a
+// restarted daemon recovered.
 func (p *processor) scan(ctx context.Context) error {
-	if err := p.refreshMeta(ctx); err != nil {
+	if err := p.refreshMeta(ctx, p.st.Keys(server.CollCaptures)); err != nil {
 		return err
 	}
 	corpora := p.corpora(nil)
 	for building, c := range corpora {
-		if len(c.keys) < minCaptures {
-			continue
-		}
-		if fp := crowdmap.CorpusFingerprintOf(c.entries); !p.maps.Current(building, fp) {
-			p.sched.Mark(building, fp)
-		}
+		p.markIfStale(building, c)
 	}
 	p.obs.Gauge("sched.buildings.tracked").Set(float64(len(corpora)))
 	if p.logMetrics && p.obs != nil {
@@ -301,26 +345,68 @@ func (p *processor) scan(ctx context.Context) error {
 	return nil
 }
 
-// refreshMeta brings the capture metadata up to date with the store. It
-// hashes every archive but decodes only those it has not seen with the
-// same bytes, so a steady-state scan decodes nothing.
-func (p *processor) refreshMeta(ctx context.Context) error {
-	keys := p.st.Keys(server.CollCaptures)
-	live := make(map[string]bool, len(keys))
+// markIfStale marks a building on the scheduler when its corpus has at
+// least minCaptures captures and its served plan was not built from it.
+// The scan and the commit hook share this rule. It takes no processor
+// lock.
+func (p *processor) markIfStale(building string, c corpus) {
+	if len(c.keys) < minCaptures {
+		return
+	}
+	if fp := crowdmap.CorpusFingerprintOf(c.entries); !p.maps.Current(building, fp) {
+		p.sched.Mark(building, fp)
+	}
+}
+
+// stored is the server's upload commit hook (server.WithOnStored): it
+// records the capture's metadata from the server's own decode, keyed by
+// the digest of the stored bytes, and marks the capture's building, so
+// its job starts without waiting for a scan (see metaComplete for the
+// one wait). It runs on the request goroutine before the 201: one sha256
+// and one fingerprint.
+func (p *processor) stored(key string, raw []byte, c *crowdmap.Capture) {
+	sum := sha256.Sum256(raw)
+	m := captureMeta{hash: hex.EncodeToString(sum[:]), building: c.Geo.Building,
+		entry: crowdmap.CorpusEntry{ID: c.ID, Fingerprint: c.Fingerprint()}}
+	p.mu.Lock()
+	p.meta[key] = m
+	complete := p.metaComplete
+	p.mu.Unlock()
+	if complete {
+		p.markIfStale(m.building, p.corpora(nil)[m.building])
+	}
+}
+
+// refreshMeta brings the capture metadata up to date with the store,
+// whose capture keys were listed as keys. It compares each archive's
+// store digest with its metadata and reads and decodes only the archives
+// that changed, so a steady-state scan copies and decodes nothing. The
+// commit hook may record an upload's metadata meanwhile: refreshMeta
+// neither overwrites metadata that changed since it read it nor forgets
+// a key the listing predates while the store still holds it.
+func (p *processor) refreshMeta(ctx context.Context, keys []string) error {
+	live := make(map[string]bool, len(keys)) // listed key → metadata current
 	for _, k := range keys {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		data, ok := p.st.Get(server.CollCaptures, k)
+		live[k] = false
+		hash, ok := p.st.Sum(server.CollCaptures, k)
 		if !ok {
 			continue
 		}
-		sum := sha256.Sum256(data)
-		hash := hex.EncodeToString(sum[:])
 		p.mu.Lock()
 		m, known := p.meta[k]
 		p.mu.Unlock()
 		if !known || m.hash != hash {
+			data, ok := p.st.Get(server.CollCaptures, k)
+			if !ok {
+				continue
+			}
+			// Hash what is decoded: the archive may have changed again
+			// since Sum.
+			sum := sha256.Sum256(data)
+			hash = hex.EncodeToString(sum[:])
 			c, err := server.DecodeCapture(data)
 			if err != nil {
 				// An archive that passed upload validation but no longer
@@ -331,21 +417,26 @@ func (p *processor) refreshMeta(ctx context.Context) error {
 				}
 				continue
 			}
+			read := m
 			m = captureMeta{hash: hash, building: c.Geo.Building,
 				entry: crowdmap.CorpusEntry{ID: c.ID, Fingerprint: c.Fingerprint()}}
 			p.mu.Lock()
-			p.meta[k] = m
+			if cur, ok := p.meta[k]; ok == known && cur == read {
+				p.meta[k] = m
+			}
 			p.mu.Unlock()
 		}
 		live[k] = true
 	}
-	// Forget metadata of deleted captures so the map tracks the store.
+	// Forget the metadata of captures deleted or no longer decodable, so
+	// the map tracks the store.
 	p.mu.Lock()
 	for k := range p.meta {
-		if !live[k] {
+		if current, listed := live[k]; !current && (listed || !p.st.Has(server.CollCaptures, k)) {
 			delete(p.meta, k)
 		}
 	}
+	p.metaComplete = true
 	p.mu.Unlock()
 	return nil
 }
@@ -466,40 +557,36 @@ func (p *processor) runBuilding(ctx context.Context, building string) error {
 		log.Printf("%s: plan already current, skipping", building)
 		return nil
 	}
-	captures, keyByID, err := p.load(ctx, building, c)
-	if err != nil {
-		return err
-	}
-	return p.reconstructBuilding(ctx, building, captures, keyByID)
+	sources, keyByID := p.sources(c)
+	return p.reconstructBuilding(ctx, building, sources, keyByID)
 }
 
-// load decodes a building's corpus from the store. The second return
-// value maps each capture's declared ID (from meta.json) to the store key
-// it was uploaded under: the pipeline reports failures and exclusions by
-// declared ID, but quarantine must move the store document, and nothing
-// forces a client to upload an archive under the ID its metadata
-// declares. An archive that changed since the scan read it (gone,
-// undecodable, moved to another building or to a taken ID) is left out;
-// the next scan sees the change.
-func (p *processor) load(ctx context.Context, building string, c corpus) ([]*crowdmap.Capture, map[string]string, error) {
-	var out []*crowdmap.Capture
+// sources makes one pipeline source per corpus member; decoding waits
+// for the pipeline, which loads only what its delta memo lacks. Each
+// loader reads and decodes its own archive, counted on
+// crowdmapd.captures.decoded. An archive that changed since its metadata
+// was read no longer matches its entry, which fails the run without
+// charging the capture; the change is marked or scanned anew. The second
+// return value maps each capture's declared ID (from meta.json) to the
+// store key it was uploaded under: the pipeline reports failures and
+// exclusions by declared ID, but quarantine must move the store
+// document, and nothing forces a client to upload an archive under the
+// ID its metadata declares.
+func (p *processor) sources(c corpus) ([]crowdmap.CaptureSource, map[string]string) {
+	out := make([]crowdmap.CaptureSource, len(c.keys))
 	keyByID := make(map[string]string, len(c.keys))
-	for _, k := range c.keys {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		data, ok := p.st.Get(server.CollCaptures, k)
-		if !ok {
-			continue
-		}
-		cp, err := server.DecodeCapture(data)
-		if err != nil || cp.Geo.Building != building || keyByID[cp.ID] != "" {
-			continue
-		}
-		keyByID[cp.ID] = k
-		out = append(out, cp)
+	for i, k := range c.keys {
+		keyByID[c.entries[i].ID] = k
+		out[i] = crowdmap.CaptureSource{Entry: c.entries[i], Load: func(context.Context) (*crowdmap.Capture, error) {
+			data, ok := p.st.Get(server.CollCaptures, k)
+			if !ok {
+				return nil, fmt.Errorf("capture %s is no longer stored", k)
+			}
+			p.obs.Counter("crowdmapd.captures.decoded").Inc()
+			return server.DecodeCapture(data)
+		}}
 	}
-	return out, keyByID, nil
+	return out, keyByID
 }
 
 // storeKey translates a capture's declared ID into the store key its
@@ -543,11 +630,11 @@ func (p *processor) dropDeltaStates() {
 // names the old corpus, so the next scan redrives it. On success it
 // resets the failure count of every capture the cycle included and
 // checkpoints the pair cache.
-func (p *processor) reconstructBuilding(ctx context.Context, building string, captures []*crowdmap.Capture, keyByID map[string]string) error {
+func (p *processor) reconstructBuilding(ctx context.Context, building string, sources []crowdmap.CaptureSource, keyByID map[string]string) error {
 	state := p.deltaState(building)
 	for {
-		if len(captures) < minCaptures {
-			log.Printf("%s: only %d captures, waiting for more", building, len(captures))
+		if len(sources) < minCaptures {
+			log.Printf("%s: only %d captures, waiting for more", building, len(sources))
 			return nil
 		}
 		cfg := crowdmap.DefaultConfig()
@@ -560,12 +647,15 @@ func (p *processor) reconstructBuilding(ctx context.Context, building string, ca
 		cfg.Quality = p.quality
 		cfg.Mode = p.mode
 		cfg.StageBudget = p.stageBudget
+		// A loaded capture feeds only extraction: free its pixels as soon
+		// as its track is built.
+		cfg.ReleaseFrames = true
 		// The shared daemon pair cache is passed as cfg.PairCache above, so
 		// a delta-state reset (config change or rebuild backstop) never
 		// flushes it — it has its own signature-based invalidation.
 		cfg.DeltaRebuildEvery = p.rebuildEvery
 		start := time.Now()
-		res, err := p.reconstruct(ctx, captures, cfg, state)
+		res, err := p.reconstruct(ctx, sources, cfg, state)
 		if err != nil {
 			if isTransient(err) {
 				// Shutdown or a per-attempt deadline, not the data's fault:
@@ -582,13 +672,13 @@ func (p *processor) reconstructBuilding(ctx context.Context, building string, ca
 					// immediately retry this building with the rest. Build a
 					// fresh slice — filtering in place would alias the array
 					// a caller may still hold.
-					kept := make([]*crowdmap.Capture, 0, len(captures)-1)
-					for _, c := range captures {
-						if c.ID != ce.CaptureID {
-							kept = append(kept, c)
+					kept := make([]crowdmap.CaptureSource, 0, len(sources)-1)
+					for _, s := range sources {
+						if s.Entry.ID != ce.CaptureID {
+							kept = append(kept, s)
 						}
 					}
-					captures = kept
+					sources = kept
 					continue
 				}
 			}
@@ -628,9 +718,9 @@ func (p *processor) reconstructBuilding(ctx context.Context, building string, ca
 		// poison: reset its failure count so unrelated future failures start
 		// from zero.
 		p.mu.Lock()
-		for _, c := range captures {
-			if !excluded[c.ID] {
-				delete(p.failures, storeKey(keyByID, c.ID))
+		for _, s := range sources {
+			if !excluded[s.Entry.ID] {
+				delete(p.failures, storeKey(keyByID, s.Entry.ID))
 			}
 		}
 		p.mu.Unlock()

@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +19,7 @@ import (
 	"crowdmap/internal/cloud/integrity"
 	"crowdmap/internal/cloud/mapserve"
 	"crowdmap/internal/cloud/pipeline"
+	"crowdmap/internal/cloud/queue"
 	"crowdmap/internal/cloud/server"
 	"crowdmap/internal/cloud/store"
 	"crowdmap/internal/crowd"
@@ -31,6 +35,21 @@ import (
 // one generated world can seed corpora for several logical buildings.
 func seedCaptures(t *testing.T, st *store.Store, building string, n int, seedBase int64) []string {
 	t.Helper()
+	ids := make([]string, n)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("%s-cap-%d", building, seedBase+int64(i))
+		if err := st.Put(server.CollCaptures, id, encodeWalk(t, id, building, seedBase+int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	return ids
+}
+
+// encodeWalk encodes one generated corridor walk of building; seed picks
+// its content.
+func encodeWalk(t *testing.T, id, building string, seed int64) []byte {
+	t.Helper()
 	users, err := crowd.NewPopulation(1, 0, mathx.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
@@ -39,38 +58,30 @@ func seedCaptures(t *testing.T, st *store.Store, building string, n int, seedBas
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]string, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("%s-cap-%d", building, seedBase+int64(i))
-		c, err := gen.SWS(id, users[0], geom.P(3, 7.5), geom.P(14, 7.5), mathx.NewRNG(seedBase+int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Geo.Building = building
-		data, err := server.EncodeCapture(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Put(server.CollCaptures, id, data); err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
+	c, err := gen.SWS(id, users[0], geom.P(3, 7.5), geom.P(14, 7.5), mathx.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ids
+	c.Geo.Building = building
+	data, err := server.EncodeCapture(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // stubResult is a minimal renderable reconstruction result over
 // captures, minus the excluded ones, with Coverage and Corpus set the
 // way the pipeline sets them.
-func stubResult(building string, captures []*crowdmap.Capture, excluded ...crowdmap.Exclusion) *crowdmap.Result {
+func stubResult(building string, captures []crowdmap.CaptureSource, excluded ...crowdmap.Exclusion) *crowdmap.Result {
 	out := make(map[string]bool, len(excluded))
 	for _, ex := range excluded {
 		out[ex.CaptureID] = true
 	}
-	var used []*crowdmap.Capture
+	var used []crowdmap.CorpusEntry
 	for _, c := range captures {
-		if !out[c.ID] {
-			used = append(used, c)
+		if !out[c.Entry.ID] {
+			used = append(used, c.Entry)
 		}
 	}
 	mask := &gridmap.Binary{
@@ -83,7 +94,7 @@ func stubResult(building string, captures []*crowdmap.Capture, excluded ...crowd
 		Excluded:    excluded,
 		Coverage: crowdmap.Coverage{Input: len(captures), Used: len(used),
 			Excluded: len(excluded), Degraded: len(excluded) > 0},
-		Corpus: crowdmap.CorpusFingerprint(used),
+		Corpus: crowdmap.CorpusFingerprintOf(used),
 	}
 }
 
@@ -117,18 +128,14 @@ func newTestProcessor(t *testing.T, st *store.Store, buildingWorkers int) *proce
 	return proc
 }
 
-// loadCorpus refreshes the processor's capture metadata and decodes one
-// building's corpus, as a job would.
-func loadCorpus(t *testing.T, proc *processor, building string) ([]*crowdmap.Capture, map[string]string) {
+// corpusSources refreshes the processor's capture metadata and makes one
+// building's pipeline sources, as a job would.
+func corpusSources(t *testing.T, proc *processor, building string) ([]crowdmap.CaptureSource, map[string]string) {
 	t.Helper()
-	ctx := context.Background()
-	if err := proc.refreshMeta(ctx); err != nil {
+	if err := proc.refreshMeta(context.Background(), proc.st.Keys(server.CollCaptures)); err != nil {
 		t.Fatal(err)
 	}
-	captures, keyByID, err := proc.load(ctx, building, proc.corpora(nil)[building])
-	if err != nil {
-		t.Fatal(err)
-	}
+	captures, keyByID := proc.sources(proc.corpora(nil)[building])
 	return captures, keyByID
 }
 
@@ -160,9 +167,9 @@ func TestProcessorQuarantinesPoisonCapture(t *testing.T) {
 	poison := ids[1]
 
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		for _, c := range captures {
-			if c.ID == poison {
+			if c.Entry.ID == poison {
 				return nil, fmt.Errorf("stage 1: %w",
 					&crowdmap.CaptureError{CaptureID: poison, Err: errors.New("corrupt frames")})
 			}
@@ -215,7 +222,7 @@ func TestProcessorSkipsCompletedJob(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 2)
 	var calls int32
-	stub := func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	stub := func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		atomic.AddInt32(&calls, 1)
 		return stubResult("Lab2", captures), nil
 	}
@@ -254,7 +261,7 @@ func TestSmallBuildingNeverEnqueued(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", minCaptures-1, 2)
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		t.Error("reconstructed a building below the corpus threshold")
 		return stubResult("Lab2", captures), nil
 	}
@@ -272,7 +279,7 @@ func TestSmallBuildingNeverEnqueued(t *testing.T) {
 // kind of successful job, the record names exactly the corpus the next
 // scan sees, so that scan enqueues nothing.
 func TestNextScanEnqueuesNothing(t *testing.T) {
-	stub := func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	stub := func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return stubResult("Lab2", captures), nil
 	}
 	cases := []struct {
@@ -291,10 +298,10 @@ func TestNextScanEnqueuesNothing(t *testing.T) {
 		}},
 		{"gate exclusion", func(t *testing.T, st *store.Store, proc *processor) {
 			bad := seedCaptures(t, st, "Lab2", 4, 2)[2]
-			proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+			proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 				var excluded []crowdmap.Exclusion
 				for _, c := range captures {
-					if c.ID == bad {
+					if c.Entry.ID == bad {
 						excluded = append(excluded, crowdmap.Exclusion{CaptureID: bad,
 							Stage: crowdmap.StageQualityGate, Reasons: []string{"imu_too_corrupt"}})
 					}
@@ -307,9 +314,9 @@ func TestNextScanEnqueuesNothing(t *testing.T) {
 			proc.mu.Lock()
 			proc.failures[poison] = maxCaptureFailures - 1
 			proc.mu.Unlock()
-			proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+			proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 				for _, c := range captures {
-					if c.ID == poison {
+					if c.Entry.ID == poison {
 						return nil, &crowdmap.CaptureError{CaptureID: poison, Err: errors.New("corrupt frames")}
 					}
 				}
@@ -361,7 +368,7 @@ func TestFailedPublishIsRetried(t *testing.T) {
 	proc := newTestProcessor(t, st, 1)
 	var runs atomic.Int64
 	var oversized atomic.Bool
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		runs.Add(1)
 		res := stubResult("Lab2", captures)
 		if len(captures) > 3 {
@@ -431,12 +438,12 @@ func TestProcessorReconstructsOnSwap(t *testing.T) {
 	var mu sync.Mutex
 	var lastCorpus []string
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		atomic.AddInt32(&calls, 1)
 		mu.Lock()
 		lastCorpus = nil
 		for _, c := range captures {
-			lastCorpus = append(lastCorpus, c.ID)
+			lastCorpus = append(lastCorpus, c.Entry.ID)
 		}
 		mu.Unlock()
 		return stubResult("Lab2", captures), nil
@@ -481,12 +488,12 @@ func TestTransientFailureNotCountedTowardQuarantine(t *testing.T) {
 	ids := seedCaptures(t, st, "Lab2", 3, 2)
 	victim := ids[0]
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(ctx context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(ctx context.Context, _ []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		// A shutdown interrupts key-frame extraction of the victim.
 		return nil, fmt.Errorf("stage 1: %w",
 			&crowdmap.CaptureError{CaptureID: victim, Err: context.Canceled})
 	}
-	captures, keyByID := loadCorpus(t, proc, "Lab2")
+	captures, keyByID := corpusSources(t, proc, "Lab2")
 	for i := 0; i < maxCaptureFailures; i++ {
 		if err := proc.reconstructBuilding(context.Background(), "Lab2", captures, keyByID); err == nil {
 			t.Fatal("interrupted reconstruction reported success")
@@ -503,7 +510,7 @@ func TestTransientFailureNotCountedTowardQuarantine(t *testing.T) {
 	}
 
 	// DeadlineExceeded (per-attempt retry deadline) is equally transient.
-	proc.reconstruct = func(ctx context.Context, _ []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(ctx context.Context, _ []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return nil, fmt.Errorf("stage 2: %w", context.DeadlineExceeded)
 	}
 	if err := proc.reconstructBuilding(context.Background(), "Lab2", captures, keyByID); err == nil {
@@ -524,7 +531,7 @@ func TestSuccessResetsFailureCounts(t *testing.T) {
 	proc.mu.Lock()
 	proc.failures[ids[2]] = maxCaptureFailures - 1 // one strike from quarantine
 	proc.mu.Unlock()
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return stubResult("Lab2", captures), nil
 	}
 	if err := proc.runOnce(context.Background()); err != nil {
@@ -550,17 +557,17 @@ func TestReconstructBuildingQuarantineRetryLoop(t *testing.T) {
 	proc.failures[poison] = maxCaptureFailures - 1 // next strike quarantines
 	proc.mu.Unlock()
 	var calls int32
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		atomic.AddInt32(&calls, 1)
 		for _, c := range captures {
-			if c.ID == poison {
+			if c.Entry.ID == poison {
 				return nil, &crowdmap.CaptureError{CaptureID: poison, Err: errors.New("corrupt frames")}
 			}
 		}
 		return stubResult("Lab2", captures), nil
 	}
-	captures, keyByID := loadCorpus(t, proc, "Lab2")
-	orig := append([]*crowdmap.Capture(nil), captures...)
+	captures, keyByID := corpusSources(t, proc, "Lab2")
+	orig := append([]crowdmap.CaptureSource(nil), captures...)
 	if err := proc.reconstructBuilding(context.Background(), "Lab2", captures, keyByID); err != nil {
 		t.Fatalf("quarantine-then-retry job failed: %v", err)
 	}
@@ -573,8 +580,8 @@ func TestReconstructBuildingQuarantineRetryLoop(t *testing.T) {
 	// The caller's slice must be intact: the in-place captures[:0] filter
 	// used to overwrite the array other views still referenced.
 	for i, c := range orig {
-		if captures[i] != c {
-			t.Fatalf("caller slice clobbered at %d: %v != %v", i, captures[i].ID, c.ID)
+		if captures[i].Entry != c.Entry {
+			t.Fatalf("caller slice clobbered at %d: %v != %v", i, captures[i].Entry.ID, c.Entry.ID)
 		}
 	}
 }
@@ -588,7 +595,7 @@ func TestProcessorDeadLettersExcludedCaptures(t *testing.T) {
 	ids := seedCaptures(t, st, "Lab2", 4, 2)
 	bad := ids[2]
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		if cfg.Quality == nil {
 			t.Error("processor did not pass quality params to the pipeline")
 		}
@@ -643,7 +650,7 @@ func TestProcessorDeadLetterUsesStoreKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return stubResult("Lab2", captures, crowdmap.Exclusion{
 			CaptureID: declared, // the pipeline only knows the declared ID
 			Stage:     crowdmap.StageQualityGate,
@@ -678,7 +685,7 @@ func TestBuildingCapturesSkipsDuplicateDeclaredIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := newTestProcessor(t, st, 1)
-	captures, keyByID := loadCorpus(t, proc, "Lab2")
+	captures, keyByID := corpusSources(t, proc, "Lab2")
 	if len(captures) != 3 {
 		t.Fatalf("corpus size = %d, want 3 (duplicate declared ID not skipped)", len(captures))
 	}
@@ -703,8 +710,8 @@ func TestProcessorOverlappingBuildings(t *testing.T) {
 	var cur, peak int32
 	release := make(chan struct{})
 	started := make(chan string, len(buildings))
-	proc.reconstruct = func(ctx context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
-		b := captures[0].Geo.Building
+	proc.reconstruct = func(ctx context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		b := cfg.JobID
 		mu.Lock()
 		inflight[b]++
 		if inflight[b] > 1 {
@@ -762,7 +769,7 @@ func TestScanQuarantinesUndecodableCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := newTestProcessor(t, st, 1)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return stubResult("Lab2", captures), nil
 	}
 	for i := 0; i < maxCaptureFailures; i++ {
@@ -799,6 +806,9 @@ func TestProcessorDeltaMode(t *testing.T) {
 	if got := first["reconstruct.delta.tracks.extracted"]; got != 3 {
 		t.Fatalf("first job extracted %d tracks, want 3", got)
 	}
+	if got := first["crowdmapd.captures.decoded"]; got != 3 {
+		t.Fatalf("first job decoded %d archives, want 3", got)
+	}
 	seedCaptures(t, st, "Lab2", 1, 90)
 	if err := proc.runOnce(ctx); err != nil {
 		t.Fatal(err)
@@ -808,6 +818,8 @@ func TestProcessorDeltaMode(t *testing.T) {
 		"reconstruct.delta.runs":             1,
 		"reconstruct.delta.tracks.reused":    3,
 		"reconstruct.delta.tracks.extracted": 1,
+		// Memo hits are never decoded: the warm job decodes the upload only.
+		"crowdmapd.captures.decoded": 1,
 	} {
 		if got := second[name] - first[name]; got != want {
 			t.Errorf("second job: %s advanced by %d, want %d", name, got, want)
@@ -836,14 +848,14 @@ func TestProcessorDeltaStatePerBuilding(t *testing.T) {
 	proc.rebuildEvery = 5
 	var mu sync.Mutex
 	states := make(map[string][]*crowdmap.DeltaState)
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, state *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, state *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		if state == nil {
 			return nil, errors.New("nil delta state")
 		}
 		if cfg.DeltaRebuildEvery != 5 {
 			return nil, fmt.Errorf("DeltaRebuildEvery = %d, want 5", cfg.DeltaRebuildEvery)
 		}
-		b := captures[0].Geo.Building
+		b := cfg.JobID
 		mu.Lock()
 		states[b] = append(states[b], state)
 		mu.Unlock()
@@ -995,7 +1007,7 @@ func TestProcessorPublishesToReadTier(t *testing.T) {
 	seedCaptures(t, st, "Lab2", 3, 2)
 	proc := newTestProcessor(t, st, 1)
 	maps := proc.maps
-	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, _ crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		return stubResult("Lab2", captures), nil
 	}
 
@@ -1036,5 +1048,325 @@ func TestProcessorPublishesToReadTier(t *testing.T) {
 	}
 	if got := counter(proc, "sched.jobs.enqueued"); got != enqueued {
 		t.Errorf("scan after an unchanged publish enqueued %d jobs, want none", got-enqueued)
+	}
+}
+
+// TestUploadCommitMarksBuilding: an upload through the server's handler
+// enqueues its building from the commit hook, before the 201 and before
+// any scan runs, once the building has enough captures; the scan after
+// the job then finds nothing to do.
+func TestUploadCommitMarksBuilding(t *testing.T) {
+	st := store.New()
+	proc := newTestProcessor(t, st, 1)
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		return stubResult(cfg.JobID, captures), nil
+	}
+	srv, err := server.New(st, server.WithOnStored(proc.stored))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ids, archives := chaosCaptures(t, "Lab2", minCaptures)
+	for i, id := range ids {
+		if err := server.UploadCapture(ts.Client(), ts.URL, id, archives[i]); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if i == minCaptures-1 {
+			want = 1
+		}
+		if got := counter(proc, "sched.jobs.enqueued"); got != want {
+			t.Fatalf("after upload %d: sched.jobs.enqueued = %d, want %d", i+1, got, want)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := proc.sched.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !served(proc, "Lab2") {
+		t.Fatal("no plan served after the commit-driven job")
+	}
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(proc, "sched.jobs.enqueued"); got != 1 {
+		t.Errorf("the scan after the commit-driven job enqueued %d more", got-1)
+	}
+}
+
+// TestStartupScanEnqueuesStaleBuilding: a processor started over a store
+// whose building has no plan enqueues it at once, without waiting for a
+// scan tick.
+func TestStartupScanEnqueuesStaleBuilding(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", minCaptures, 2)
+	proc := newTestProcessor(t, st, 1)
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		return stubResult(cfg.JobID, captures), nil
+	}
+	q, err := queue.New(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for range q.Results() {
+		}
+	}()
+	defer q.Close()
+	stop, err := proc.schedule(q, time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	deadline := time.Now().Add(30 * time.Second)
+	for counter(proc, "sched.jobs.enqueued") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stale building not enqueued without a scan tick")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestUploadsBeforeStartupScanWaitForIt: over a store that already held
+// captures, the processor's metadata misses them until its first scan.
+// Uploads committed before then must not run a job over the partial
+// corpus, which would publish a plan built without the stored captures;
+// the first scan marks the building with all of them.
+func TestUploadsBeforeStartupScanWaitForIt(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", minCaptures, 2)
+	proc := newTestProcessor(t, st, 1)
+	var mu sync.Mutex
+	var sizes []int
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		mu.Lock()
+		sizes = append(sizes, len(captures))
+		mu.Unlock()
+		return stubResult(cfg.JobID, captures), nil
+	}
+	for i := int64(0); i < minCaptures; i++ {
+		id := fmt.Sprintf("Lab2-new-%d", i)
+		data := encodeWalk(t, id, "Lab2", 50+i)
+		c, err := server.DecodeCapture(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(server.CollCaptures, id, data); err != nil {
+			t.Fatal(err)
+		}
+		proc.stored(id, data, c)
+	}
+	if got := counter(proc, "sched.jobs.enqueued"); got != 0 {
+		t.Fatalf("uploads before the first scan enqueued %d jobs, want 0", got)
+	}
+	if err := proc.runOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(sizes, []int{2 * minCaptures}) {
+		t.Errorf("jobs ran over corpora of %v captures, want one over all %d", sizes, 2*minCaptures)
+	}
+}
+
+// TestCommitHookConcurrentWithScans: uploads committed from several
+// goroutines while scans run. No job may run over a corpus missing the
+// captures stored before the processor was made, and once everything
+// settles the served plan is current for the whole store.
+func TestCommitHookConcurrentWithScans(t *testing.T) {
+	st := store.New()
+	seeded := seedCaptures(t, st, "Lab2", minCaptures, 2)
+	proc := newTestProcessor(t, st, 2)
+	var mu sync.Mutex
+	var partial []int
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		have := make(map[string]bool, len(captures))
+		for _, c := range captures {
+			have[c.Entry.ID] = true
+		}
+		for _, id := range seeded {
+			if !have[id] {
+				mu.Lock()
+				partial = append(partial, len(captures))
+				mu.Unlock()
+				break
+			}
+		}
+		return stubResult(cfg.JobID, captures), nil
+	}
+	const uploaders, perUploader = 3, 2
+	archives := make([][][]byte, uploaders)
+	for u := range archives {
+		for i := 0; i < perUploader; i++ {
+			id := fmt.Sprintf("Lab2-up-%d-%d", u, i)
+			archives[u] = append(archives[u], encodeWalk(t, id, "Lab2", int64(100+10*u+i)))
+		}
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if err := proc.scan(ctx); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for u := range archives {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			for i, data := range archives[u] {
+				id := fmt.Sprintf("Lab2-up-%d-%d", u, i)
+				c, err := server.DecodeCapture(data)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := st.Put(server.CollCaptures, id, data); err != nil {
+					t.Error(err)
+					return
+				}
+				proc.stored(id, data, c)
+			}
+		}(u)
+	}
+	wg.Wait()
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(partial) > 0 {
+		t.Errorf("jobs ran over corpora missing stored captures (sizes %v)", partial)
+	}
+	c := proc.corpora(nil)["Lab2"]
+	if want := minCaptures + uploaders*perUploader; len(c.keys) != want {
+		t.Fatalf("corpus holds %d captures, want %d", len(c.keys), want)
+	}
+	if !proc.maps.Current("Lab2", crowdmap.CorpusFingerprintOf(c.entries)) {
+		t.Error("the served plan is not current for the whole store once uploads and scans settled")
+	}
+}
+
+// TestScanReadsNoUnchangedArchive: once the scan holds every capture's
+// metadata, a scan over the unchanged store compares store digests only.
+// It decodes nothing and copies no capture document; either would
+// allocate at least one archive's bytes.
+func TestScanReadsNoUnchangedArchive(t *testing.T) {
+	st := store.New()
+	ids := seedCaptures(t, st, "Lab2", minCaptures, 2)
+	proc := newTestProcessor(t, st, 1)
+	ctx := context.Background()
+	if err := proc.refreshMeta(ctx, st.Keys(server.CollCaptures)); err != nil {
+		t.Fatal(err)
+	}
+	smallest := -1
+	for _, id := range ids {
+		data, _ := st.Get(server.CollCaptures, id)
+		if smallest < 0 || len(data) < smallest {
+			smallest = len(data)
+		}
+	}
+	proc.mu.Lock()
+	before := maps.Clone(proc.meta)
+	proc.mu.Unlock()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := proc.refreshMeta(ctx, st.Keys(server.CollCaptures)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= uint64(smallest) {
+		t.Errorf("a scan over an unchanged store allocated %d bytes, at least an archive (%d)", got, smallest)
+	}
+	proc.mu.Lock()
+	defer proc.mu.Unlock()
+	if !reflect.DeepEqual(proc.meta, before) {
+		t.Error("a scan over an unchanged store changed the capture metadata")
+	}
+}
+
+// TestScanKeepsUploadStoredAfterItsListing: the commit hook may record an
+// upload's metadata while a scan runs over a key listing taken before the
+// upload was stored. That scan must not forget the upload, since the job
+// the hook marked takes its corpus from the metadata. Once the store no
+// longer holds the upload, the scan forgets it, listed or not.
+func TestScanKeepsUploadStoredAfterItsListing(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", minCaptures-1, 2)
+	proc := newTestProcessor(t, st, 1)
+	proc.reconstruct = func(_ context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+		return stubResult(cfg.JobID, captures), nil
+	}
+	ctx := context.Background()
+	if err := proc.refreshMeta(ctx, st.Keys(server.CollCaptures)); err != nil {
+		t.Fatal(err)
+	}
+	listing := st.Keys(server.CollCaptures)
+	const late = "Lab2-late"
+	data := encodeWalk(t, late, "Lab2", 9)
+	c, err := server.DecodeCapture(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(server.CollCaptures, late, data); err != nil {
+		t.Fatal(err)
+	}
+	proc.stored(late, data, c)
+	if err := proc.refreshMeta(ctx, listing); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(proc.corpora(nil)["Lab2"].keys); got != minCaptures {
+		t.Fatalf("a scan over a listing older than the upload left %d captures in the corpus, want %d", got, minCaptures)
+	}
+	if err := st.Delete(server.CollCaptures, late); err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.refreshMeta(ctx, listing); err != nil {
+		t.Fatal(err)
+	}
+	proc.mu.Lock()
+	defer proc.mu.Unlock()
+	if _, kept := proc.meta[late]; kept {
+		t.Error("a scan after the upload was deleted kept its metadata")
+	}
+}
+
+// TestChangedArchiveFailsJobWithoutCharge: an archive replaced after its
+// metadata was read no longer matches its corpus entry. The run fails
+// without a CaptureError, so the processor charges the capture nothing
+// and quarantines nothing; the next scan reads the new archive and its
+// job succeeds.
+func TestChangedArchiveFailsJobWithoutCharge(t *testing.T) {
+	st := store.New()
+	ids := seedCaptures(t, st, "Lab2", minCaptures, 2)
+	proc := newTestProcessor(t, st, 1)
+	proc.mode = crowdmap.ModeTrajectory // the real pipeline, dead reckoning only
+	sources, keyByID := corpusSources(t, proc, "Lab2")
+	if err := st.Put(server.CollCaptures, ids[0], encodeWalk(t, ids[0], "Lab2", 77)); err != nil {
+		t.Fatal(err)
+	}
+	err := proc.reconstructBuilding(context.Background(), "Lab2", sources, keyByID)
+	var ce *crowdmap.CaptureError
+	if err == nil || errors.As(err, &ce) {
+		t.Fatalf("job over a changed archive: %v, want a plain error", err)
+	}
+	for _, id := range ids {
+		if got := failureCount(proc, id); got != 0 {
+			t.Errorf("%s charged %d failures", id, got)
+		}
+		if _, ok := st.Get(collDeadLetter, id); ok {
+			t.Errorf("%s dead-lettered", id)
+		}
+	}
+	if err := proc.runOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !served(proc, "Lab2") || counter(proc, "sched.jobs.failed") != 0 {
+		t.Errorf("the scan after the change did not rebuild the building: %v", proc.obs.Snapshot().Counters)
 	}
 }

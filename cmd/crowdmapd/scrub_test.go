@@ -31,12 +31,12 @@ func corruptStoredDoc(t *testing.T, st *store.Store, coll, key string) {
 // checkpointingStub returns a reconstruct stub that journals the pairs
 // stage like the real pipeline does (the one record it writes), so the
 // scrubber walks realistic checkpoint state.
-func checkpointingStub(runs *atomic.Int64) func(context.Context, []*crowdmap.Capture, crowdmap.Config, *crowdmap.DeltaState) (*crowdmap.Result, error) {
-	return func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
+func checkpointingStub(runs *atomic.Int64) func(context.Context, []crowdmap.CaptureSource, crowdmap.Config, *crowdmap.DeltaState) (*crowdmap.Result, error) {
+	return func(_ context.Context, captures []crowdmap.CaptureSource, cfg crowdmap.Config, _ *crowdmap.DeltaState) (*crowdmap.Result, error) {
 		runs.Add(1)
-		fp := crowdmap.CorpusFingerprint(captures)
-		_ = cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePairs, fp, []byte("{}"))
-		return stubResult(cfg.JobID, captures), nil
+		res := stubResult(cfg.JobID, captures)
+		_ = cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePairs, res.Corpus, []byte("{}"))
+		return res, nil
 	}
 }
 

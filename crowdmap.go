@@ -118,9 +118,10 @@ type Config struct {
 	// RoomMergeRadius deduplicates room observations whose estimated
 	// centers fall within this distance, meters.
 	RoomMergeRadius float64
-	// ReleaseFrames frees each capture's frame pixels as soon as key-frame
-	// extraction has consumed them. The captures are mutated; enable for
-	// large batch runs where the caller does not reuse the frames.
+	// ReleaseFrames frees each loaded capture's frame pixels as soon as
+	// its track is built. The loaded captures are mutated (Reconstruct's
+	// are the caller's); enable for large batch runs where the caller does
+	// not reuse the frames. A ReconstructDelta memo hit loads nothing.
 	ReleaseFrames bool
 	// Seed drives the pipeline's stochastic stages (layout sampling).
 	Seed int64

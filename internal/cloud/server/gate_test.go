@@ -226,3 +226,59 @@ func containsString(ss []string, want string) bool {
 	}
 	return false
 }
+
+// TestOnStoredFiresOncePerStoredUpload: the commit hook sees each stored
+// upload exactly once, after its last chunk and with the bytes and the
+// capture the server stored, and never sees an upload refused with 413
+// or 422.
+func TestOnStoredFiresOncePerStoredUpload(t *testing.T) {
+	type call struct {
+		id, captureID string
+		raw           []byte
+	}
+	var mu sync.Mutex
+	var calls []call
+	srv, err := New(store.New(),
+		WithQualityGate(quality.DefaultParams()),
+		WithOnStored(func(id string, raw []byte, c *crowd.Capture) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls = append(calls, call{id, c.ID, raw})
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	for id, archive := range map[string][]byte{
+		"too-short": fuzzSeedArchive(t),                                                     // 422: quality gate
+		"garbage":   []byte("PK\x03\x04 not a capture"),                                     // 422: undecodable
+		"bomb":      zerosArchive(t, map[string]int64{"imu.json": MaxFileUncompressed + 1}), // 413
+	} {
+		if status, _ := uploadArchive(t, ts, id, archive); status != http.StatusUnprocessableEntity && status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 or 422", id, status)
+		}
+	}
+	good := testCapture(t)
+	archive, err := EncodeCapture(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(archive) / 2
+	if got := postChunk(t, ts, "upload-key", 1, 2, archive[half:]); got != http.StatusAccepted {
+		t.Fatalf("first chunk: status %d, want 202", got)
+	}
+	if got := postChunk(t, ts, "upload-key", 0, 2, archive[:half]); got != http.StatusCreated {
+		t.Fatalf("last chunk: status %d, want 201", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(calls) != 1 {
+		t.Fatalf("hook fired %d times, want once: %+v", len(calls), calls)
+	}
+	if c := calls[0]; c.id != "upload-key" || c.captureID != good.ID || !bytes.Equal(c.raw, archive) {
+		t.Errorf("hook saw id %q, capture %q, %d bytes; want %q, %q, the %d stored bytes",
+			c.id, c.captureID, len(c.raw), "upload-key", good.ID, len(archive))
+	}
+}

@@ -15,6 +15,7 @@ import (
 
 	"crowdmap/internal/cloud/mapserve"
 	"crowdmap/internal/cloud/store"
+	"crowdmap/internal/crowd"
 	"crowdmap/internal/obs"
 	"crowdmap/internal/quality"
 )
@@ -66,6 +67,8 @@ type Server struct {
 	// maps is the read tier (versioned plan serving + localization); nil
 	// answers the buildings.* routes 404 (see mapserve.go).
 	maps *mapserve.Service
+	// onStored is the upload commit hook (WithOnStored); nil = none.
+	onStored func(id string, raw []byte, c *crowd.Capture)
 
 	// draining flips at graceful shutdown: chunk uploads are refused with
 	// 503 so the daemon can finish in-flight work and exit.
@@ -154,6 +157,16 @@ func WithQualityGate(p quality.Params) Option {
 // WithQualityGate.
 func WithIMUOnlyAdmission() Option {
 	return func(s *Server) { s.imuOnlyAdmission = true }
+}
+
+// WithOnStored installs the upload commit hook: fn runs once for each
+// assembled upload the server stores, after the store write and before
+// the 201, with the upload ID, the archive bytes and the capture the
+// server decoded from them. Rejected uploads (413, 422) never reach it.
+// It runs on the request goroutine, so it must be cheap; the caller must
+// not modify raw or c.
+func WithOnStored(fn func(id string, raw []byte, c *crowd.Capture)) Option {
+	return func(s *Server) { s.onStored = fn }
 }
 
 // WithNotReady starts the server unready: GET /readyz answers 503 until
@@ -468,6 +481,9 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		_ = s.wal.LogUploadDone(id)
 	}
 	s.obs.Counter("uploads.completed").Inc()
+	if s.onStored != nil {
+		s.onStored(id, assembled, decoded)
+	}
 	w.WriteHeader(http.StatusCreated)
 	fmt.Fprintf(w, `{"stored":%q,"bytes":%d}`+"\n", id, len(assembled))
 }

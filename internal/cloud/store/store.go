@@ -9,6 +9,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -30,7 +32,10 @@ type mutationLog interface {
 type Store struct {
 	mu    sync.RWMutex
 	colls map[string]map[string][]byte
-	log   mutationLog // nil when the store is memory-only
+	// sums caches document digests for Sum; every write of a document
+	// drops its entry.
+	sums map[[2]string]string
+	log  mutationLog // nil when the store is memory-only
 }
 
 // New returns an empty store.
@@ -56,7 +61,9 @@ func (s *Store) Put(coll, key string, val []byte) error {
 	return nil
 }
 
-// applyPut installs a document. Caller holds the write lock.
+// applyPut installs a document. Caller holds the write lock. Installed
+// values are never written in place, only replaced, which is what lets
+// Sum hash one outside the lock.
 func (s *Store) applyPut(coll, key string, val []byte) {
 	c, ok := s.colls[coll]
 	if !ok {
@@ -64,6 +71,13 @@ func (s *Store) applyPut(coll, key string, val []byte) {
 		s.colls[coll] = c
 	}
 	c[key] = append([]byte(nil), val...)
+	delete(s.sums, [2]string{coll, key})
+}
+
+// applyDelete removes a document. Caller holds the write lock.
+func (s *Store) applyDelete(coll, key string) {
+	delete(s.colls[coll], key)
+	delete(s.sums, [2]string{coll, key})
 }
 
 // Get retrieves a document copy; ok reports whether it exists.
@@ -75,6 +89,33 @@ func (s *Store) Get(coll, key string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), v...), true
+}
+
+// Sum returns the hex SHA-256 of a document without copying it; ok
+// reports whether the document exists. The digest is computed at most
+// once per write of the document, so a caller that polls the store for
+// changes hashes each version once.
+func (s *Store) Sum(coll, key string) (sum string, ok bool) {
+	id := [2]string{coll, key}
+	s.mu.RLock()
+	sum, cached := s.sums[id]
+	v, ok := s.colls[coll][key]
+	s.mu.RUnlock()
+	if cached || !ok {
+		return sum, ok
+	}
+	h := sha256.Sum256(v)
+	sum = hex.EncodeToString(h[:])
+	s.mu.Lock()
+	// Cache only if no write replaced the document while it was hashed.
+	if cur, ok := s.colls[coll][key]; ok && len(cur) == len(v) && (len(v) == 0 || &cur[0] == &v[0]) {
+		if s.sums == nil {
+			s.sums = make(map[[2]string]string)
+		}
+		s.sums[id] = sum
+	}
+	s.mu.Unlock()
+	return sum, true
 }
 
 // Has reports whether a document exists, without copying it.
@@ -95,7 +136,7 @@ func (s *Store) Delete(coll, key string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.colls[coll], key)
+	s.applyDelete(coll, key)
 	return nil
 }
 
@@ -148,6 +189,7 @@ func (s *Store) Load(r io.Reader) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.sums = nil
 	s.colls = make(map[string]map[string][]byte, len(snap))
 	for c, docs := range snap {
 		s.colls[c] = make(map[string][]byte, len(docs))

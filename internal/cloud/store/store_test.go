@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -24,6 +26,55 @@ func TestPutGetDelete(t *testing.T) {
 	s.Delete("c", "missing") // no-op
 	if _, ok := s.Get("nope", "k"); ok {
 		t.Error("missing collection should miss")
+	}
+}
+
+// TestSumFollowsWrites: Sum is the digest of the current document, a
+// write or delete drops the cached digest, and a replayed WAL store sums
+// what it recovered.
+func TestSumFollowsWrites(t *testing.T) {
+	hexSum := func(v string) string {
+		h := sha256.Sum256([]byte(v))
+		return hex.EncodeToString(h[:])
+	}
+	w, err := OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := w.Store()
+	if _, ok := s.Sum("c", "k"); ok {
+		t.Error("Sum of a missing document reported ok")
+	}
+	for _, v := range []string{"one", "two", ""} {
+		if err := s.Put("c", "k", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // computed, then cached
+			if got, ok := s.Sum("c", "k"); !ok || got != hexSum(v) {
+				t.Errorf("Sum after Put(%q) = %.12s, %v; want %.12s", v, got, ok, hexSum(v))
+			}
+		}
+	}
+	if err := s.Put("c", "k", []byte("three")); err != nil {
+		t.Fatal(err)
+	}
+	dir := w.dir
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if got, _ := w2.Store().Sum("c", "k"); got != hexSum("three") {
+		t.Errorf("Sum after replay = %.12s, want %.12s", got, hexSum("three"))
+	}
+	if err := w2.Store().Delete("c", "k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := w2.Store().Sum("c", "k"); ok {
+		t.Error("Sum of a deleted document reported ok")
 	}
 }
 
@@ -129,15 +180,25 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			key := string(rune('a' + w))
+			next := string(rune('a' + (w+1)%8)) // another writer's key
 			for i := 0; i < 100; i++ {
 				_ = s.Put("c", key, []byte{byte(i)})
 				s.Get("c", key)
 				s.Keys("c")
+				s.Sum("c", next)
 			}
 		}(w)
 	}
 	wg.Wait()
 	if s.Len("c") != 8 {
 		t.Errorf("Len = %d after concurrent writes", s.Len("c"))
+	}
+	// No digest computed while its document was being replaced outlives
+	// the replacement.
+	want := sha256.Sum256([]byte{99})
+	for w := 0; w < 8; w++ {
+		if got, _ := s.Sum("c", string(rune('a'+w))); got != hex.EncodeToString(want[:]) {
+			t.Errorf("Sum(%c) = %.12s after concurrent writes, want the last value's", 'a'+w, got)
+		}
 	}
 }

@@ -282,6 +282,7 @@ func (w *WAL) recover() error {
 		w.snapSeq = snap.Seq
 		storeMax(&w.synced, snap.Seq)
 		w.st.mu.Lock()
+		w.st.sums = nil
 		w.st.colls = make(map[string]map[string][]byte, len(snap.Colls))
 		for c, docs := range snap.Colls {
 			w.st.colls[c] = make(map[string][]byte, len(docs))
@@ -430,7 +431,7 @@ func (w *WAL) apply(rec *walRecord) {
 		w.st.mu.Unlock()
 	case opDelete:
 		w.st.mu.Lock()
-		delete(w.st.colls[rec.Coll], rec.Key)
+		w.st.applyDelete(rec.Coll, rec.Key)
 		w.st.mu.Unlock()
 	case opChunk:
 		up, ok := w.recovered[rec.Key]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -174,9 +175,9 @@ const (
 	StagePairs     = "pairs"
 )
 
-// StageQualityGate names the pre-pipeline quality gate in
-// Result.Excluded entries. It is not a checkpointed stage: the gate is
-// cheap and deterministic, so it simply re-runs on every attempt.
+// StageQualityGate names the quality gate in Result.Excluded entries. It
+// is not a checkpointed stage: the gate is cheap and deterministic, so it
+// re-runs on every attempt that loads the capture.
 const StageQualityGate = "quality"
 
 // CorpusFingerprint identifies a capture corpus by content: the SHA-256
@@ -198,6 +199,29 @@ func corpusEntries(captures []*Capture) []CorpusEntry {
 // declared ID and its content fingerprint (Capture.Fingerprint).
 type CorpusEntry struct {
 	ID, Fingerprint string
+}
+
+// CaptureSource is one member of a reconstruction corpus: its corpus
+// entry, and a loader that yields the decoded capture. A run loads a
+// source only when it needs the capture's content: ReconstructDelta skips
+// the loader on a memo hit. The loaded capture must be the one the entry
+// names, same ID and same Fingerprint; a loader error or a mismatch fails
+// the run with a plain error, never a CaptureError, because the corpus
+// changed under the caller and no capture is to blame.
+type CaptureSource struct {
+	Entry CorpusEntry
+	Load  func(context.Context) (*Capture, error)
+}
+
+// sourcesOf wraps decoded captures as sources whose loaders return them
+// as they are.
+func sourcesOf(captures []*Capture) []CaptureSource {
+	out := make([]CaptureSource, len(captures))
+	for i, e := range corpusEntries(captures) {
+		c := captures[i]
+		out[i] = CaptureSource{Entry: e, Load: func(context.Context) (*Capture, error) { return c, nil }}
+	}
+	return out
 }
 
 // CorpusFingerprintOf is CorpusFingerprint over precomputed entries, in
@@ -245,7 +269,7 @@ func Reconstruct(captures []*Capture, cfg Config) (*Result, error) {
 // fails outright only for corpus-level problems: invalid configuration,
 // zero survivors, context cancellation, or a skeleton/placement failure.
 func ReconstructContext(ctx context.Context, captures []*Capture, cfg Config) (*Result, error) {
-	return reconstructPipeline(ctx, captures, cfg, nil)
+	return reconstructPipeline(ctx, sourcesOf(captures), cfg, nil, false)
 }
 
 // reconstructPipeline is the stage body shared by ReconstructContext
@@ -254,12 +278,15 @@ func ReconstructContext(ctx context.Context, captures []*Capture, cfg Config) (*
 // keyed by the complete set of inputs its computation reads — capture
 // content fingerprint, parameter signatures, track index, placement
 // offset — so a memo hit returns exactly what recomputation would, and
-// the two paths produce byte-identical results by construction.
-func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, ds *deltaRun) (*Result, error) {
+// the two paths produce byte-identical results by construction. With
+// verifyLoads, each loaded capture must match its corpus entry; the
+// sources ReconstructContext wraps need no check, since their entries
+// were computed from the very captures they load.
+func reconstructPipeline(ctx context.Context, sources []CaptureSource, cfg Config, ds *deltaRun, verifyLoads bool) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(captures) == 0 {
+	if len(sources) == 0 {
 		return nil, fmt.Errorf("crowdmap: no captures")
 	}
 	if ctx == nil {
@@ -270,10 +297,11 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 	if cfg.JobID == "" {
 		ckpt = nil
 	}
-	// Corpus entries come from the caller's captures, not the gate's
-	// sanitized copies, and are taken before ReleaseFrames drops the
-	// pixels they cover.
-	entries := corpusEntries(captures)
+	// Corpus entries are the caller's, never the gate's sanitized copies'.
+	entries := make([]CorpusEntry, len(sources))
+	for i, src := range sources {
+		entries[i] = src.Entry
+	}
 	fp := ""
 	if ckpt != nil {
 		fp = CorpusFingerprintOf(entries)
@@ -293,180 +321,125 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 		ctx = pipeline.WithSoftBudget(ctx, cfg.StageBudget)
 	}
 	reg.Counter("reconstruct.runs").Inc()
-	reg.Counter("reconstruct.captures").Add(int64(len(captures)))
+	reg.Counter("reconstruct.captures").Add(int64(len(sources)))
+	reg.Counter("reconstruct.mode." + cfg.Mode.String()).Inc()
 	ds.begin(reg)
 	totalDone := obs.Stage(reg, "reconstruct.total")
 
 	res := &Result{RoomFailures: make(map[string]error)}
 
-	// Stage 0: quality gate and modality routing. Irrecoverable captures
-	// are excluded here — before any expensive work — and sanitized copies
-	// replace captures with recoverable defects. The gate is deterministic,
-	// so exclusion order (input order), the surviving corpus, and the
-	// per-capture route are all reproducible.
-	reg.Counter("reconstruct.mode." + cfg.Mode.String()).Inc()
-	live := captures
-	scores := make([]float64, len(captures)) // 0 = unscored
-	origIdx := make([]int, len(captures))    // live index -> input index
-	for i := range origIdx {
-		origIdx[i] = i
-	}
-	// route[i] marks live[i] as trajectory-routed: dead reckoning only, no
-	// vision stack. All captures in ModeTrajectory; in ModeHybrid, the
-	// captures the full gate rejected but the inertial verdict admitted.
-	route := make([]bool, len(captures))
-	if cfg.Mode == ModeTrajectory {
-		for i := range route {
-			route[i] = true
-		}
-	}
-	if cfg.Quality != nil {
-		gateDone := obs.Stage(reg, "quality.gate")
-		qp := *cfg.Quality
-		qp.Obs = reg
-		live = make([]*Capture, 0, len(captures))
-		scores = scores[:0]
-		origIdx = origIdx[:0]
-		route = route[:0]
-		for i, c := range captures {
-			var gated *Capture
-			var rep quality.Report
-			traj := false
-			switch cfg.Mode {
-			case ModeTrajectory:
-				// Video is never consumed, so video defects must not reject
-				// the capture: the inertial verdict alone decides admission.
-				gated, rep = quality.GateIMU(c, qp)
-				traj = true
-			case ModeHybrid:
-				gated, rep = quality.Gate(c, qp)
-				if !rep.OK {
-					// Per-modality rescue: a capture whose video failed the
-					// gate still contributes trajectory density when its
-					// IMU is sound.
-					if g, irep := quality.GateIMU(c, qp); irep.OK {
-						gated, rep, traj = g, irep, true
-						reg.Counter("reconstruct.mode.rescued").Inc()
-					} else {
-						rep.Reasons = mergeReasons(rep.Reasons, irep.Reasons)
-					}
-				}
-			default:
-				gated, rep = quality.Gate(c, qp)
-			}
-			if !rep.OK {
-				res.Excluded = append(res.Excluded, Exclusion{
-					CaptureID: c.ID, Stage: StageQualityGate, Reasons: rep.Reasons,
-				})
-				continue
-			}
-			live = append(live, gated)
-			scores = append(scores, rep.Score)
-			origIdx = append(origIdx, i)
-			route = append(route, traj)
-		}
-		gateDone()
-		if len(live) == 0 {
-			return nil, fmt.Errorf("crowdmap: quality gate excluded all %d captures", len(captures))
-		}
-	}
-
-	// Stage 1: per-capture key-frame extraction (embarrassingly parallel).
-	// MapAll rather than Map: a poisoned capture — extraction error or a
-	// panic recovered in the worker — must cost the job that capture, not
-	// the corpus, so every sibling runs to completion regardless.
+	// Stages 0 and 1, per capture and in parallel: load, quality gate and
+	// modality routing, then key-frame extraction (dead reckoning alone on
+	// the trajectory route). A delta run first asks its memo, keyed by the
+	// caller's corpus entry: a hit holds the gate verdict, the capture's
+	// frameless metadata and its track, so the capture is neither loaded
+	// nor gated — both are deterministic under the delta config signature.
+	// A miss is loaded inside its worker, so a run holds at most Workers
+	// decoded captures at once. MapAll rather than Map: a poisoned capture
+	// — extraction error or a panic recovered in the worker — must cost the
+	// job that capture, not the corpus, so every sibling runs to completion
+	// regardless.
 	extractDone := obs.Stage(reg, "keyframe.extract")
-	liveTracks := make([]*Track, len(live))
-	release := func(i int) {
-		if cfg.ReleaseFrames {
-			// live[i] may be a sanitized copy; release the caller's frames
-			// too (both alias the same frame slice when not copied).
-			live[i].Frames = nil
-			captures[origIdx[i]].Frames = nil
+	outs := make([]*captureMemo, len(sources))
+	errs, ctxErr := pipeline.MapAll(ctx, len(sources), cfg.Workers, func(ctx context.Context, i int) error {
+		src := sources[i]
+		if m, hit := ds.lookup(src.Entry.Fingerprint); hit {
+			outs[i] = m
+			return nil
 		}
-	}
-	errs, ctxErr := pipeline.MapAll(ctx, len(live), cfg.Workers, func(_ context.Context, i int) error {
-		// The track's fingerprint is the gated capture's: its corpus
-		// entry, or a fresh hash of the copy the gate sanitized, taken
-		// before ReleaseFrames drops the pixels it covers. A delta run
-		// keys its track memo by it: a hit skips extraction entirely —
-		// the gate and extraction are deterministic, so the memoized track
-		// is what extraction would produce.
-		capFP := entries[origIdx[i]].Fingerprint
-		if live[i] != captures[origIdx[i]] {
-			capFP = live[i].Fingerprint()
+		c, err := src.Load(ctx)
+		if err != nil {
+			return &sourceError{fmt.Errorf("crowdmap: load %s: %w", src.Entry.ID, err)}
 		}
-		if ds != nil {
-			// The delta config signature covers cfg.Mode and routing is
-			// deterministic in (content, params, mode), so a memo hit
-			// returns a track of the shape this run's route would build.
-			if tr, hit := ds.lookupTrack(capFP, scores[i]); hit {
-				liveTracks[i] = tr
-				release(i)
-				return nil
+		if verifyLoads && (c.ID != src.Entry.ID || c.Fingerprint() != src.Entry.Fingerprint) {
+			return &sourceError{fmt.Errorf("crowdmap: capture %s no longer matches its corpus entry", src.Entry.ID)}
+		}
+		gated, m := gateCapture(c, cfg, reg)
+		outs[i] = m
+		if m.ok {
+			// The track is hashed as extracted: a sanitized copy has its
+			// own fingerprint.
+			hash := src.Entry.Fingerprint
+			if gated != c {
+				hash = gated.Fingerprint()
 			}
+			ds.extracting()
+			m.track, err = extractCapture(gated, hash, m, cfg)
 		}
-		var kfs []*KeyFrame
-		var traj *Trajectory
-		var err error
-		if route[i] {
-			traj, err = deadReckonTrack(live[i])
-		} else {
-			kfs, traj, err = extractTrack(live[i], cfg)
+		if cfg.ReleaseFrames {
+			// gated may be a sanitized copy: release its frames too.
+			c.Frames = nil
+			gated.Frames = nil
 		}
 		if err != nil {
-			return &CaptureError{CaptureID: live[i].ID, Err: err}
+			return &CaptureError{CaptureID: c.ID, Err: err}
 		}
-		liveTracks[i] = &aggregate.Track{
-			ID:      live[i].ID,
-			Traj:    traj,
-			KFs:     kfs,
-			Night:   live[i].Night,
-			Hash:    capFP,
-			Quality: scores[i],
-		}
-		ds.storeTrack(capFP, liveTracks[i])
-		release(i)
+		ds.store(src.Entry.Fingerprint, m)
 		return nil
 	})
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
+	for _, err := range errs {
+		var se *sourceError
+		if errors.As(err, &se) {
+			return nil, se.err
+		}
+	}
+	// Exclusions in a fixed order: gate rejections, then extraction
+	// failures, each in input order. The gate is deterministic, so the
+	// surviving corpus and each capture's route are reproducible.
+	rejected, rescued := 0, 0
+	for i, m := range outs {
+		switch {
+		case errs[i] != nil || m == nil:
+		case !m.ok:
+			rejected++
+			res.Excluded = append(res.Excluded, Exclusion{
+				CaptureID: sources[i].Entry.ID, Stage: StageQualityGate, Reasons: m.reasons,
+			})
+		case m.traj && cfg.Mode == ModeHybrid:
+			rescued++
+		}
+	}
+	reg.Counter("reconstruct.mode.rescued").Add(int64(rescued))
+	if rejected == len(sources) {
+		return nil, fmt.Errorf("crowdmap: quality gate excluded all %d captures", len(sources))
+	}
 	// Compact to the surviving subset. Downstream stages see exactly the
 	// slice a fresh run over only the survivors would receive, which is
-	// what makes the degraded-mode plan byte-identical to that run's.
-	tracks := make([]*Track, 0, len(live))
-	liveCaps := make([]*Capture, 0, len(live))
-	trackRoute := make([]bool, 0, len(live)) // route, compacted like tracks
-	res.Tracks = make([]*Track, len(captures))
-	for i := range live {
+	// what makes the degraded-mode plan byte-identical to that run's. They
+	// read only the captures' frameless metadata.
+	tracks := make([]*Track, 0, len(sources))
+	captures := make([]*Capture, 0, len(sources))
+	trackRoute := make([]bool, 0, len(sources)) // per track: trajectory-routed
+	res.Tracks = make([]*Track, len(sources))
+	used := make([]CorpusEntry, 0, len(sources))
+	for i, m := range outs {
 		if errs[i] != nil {
 			stage := StageKeyframes
-			if route[i] {
+			if (m == nil && cfg.Mode == ModeTrajectory) || (m != nil && m.traj) {
 				stage = StageTrajectory
 			}
 			res.Excluded = append(res.Excluded, Exclusion{
-				CaptureID: live[i].ID, Stage: stage,
+				CaptureID: sources[i].Entry.ID, Stage: stage,
 				Reasons: []string{errs[i].Error()},
 			})
 			continue
 		}
-		res.Tracks[origIdx[i]] = liveTracks[i]
-		tracks = append(tracks, liveTracks[i])
-		liveCaps = append(liveCaps, live[i])
-		trackRoute = append(trackRoute, route[i])
+		if !m.ok {
+			continue
+		}
+		res.Tracks[i] = m.track
+		tracks = append(tracks, m.track)
+		captures = append(captures, m.meta)
+		trackRoute = append(trackRoute, m.traj)
+		used = append(used, entries[i])
 	}
 	if len(tracks) == 0 {
 		return nil, fmt.Errorf("crowdmap: no captures survived extraction (%d excluded)", len(res.Excluded))
 	}
-	used := make([]CorpusEntry, 0, len(tracks))
-	for i, tr := range res.Tracks {
-		if tr != nil {
-			used = append(used, entries[i])
-		}
-	}
 	res.Corpus = CorpusFingerprintOf(used)
-	captures = liveCaps
 	trajUsed := 0
 	for _, r := range trackRoute {
 		if r {
@@ -649,9 +622,92 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 	return res, nil
 }
 
-// extractTrack runs the key-frame front-end for one capture.
-func extractTrack(c *Capture, cfg Config) ([]*KeyFrame, *Trajectory, error) {
-	return keyframe.Extract(c, cfg.Keyframe)
+// sourceError marks a worker failure that fails the whole run: a source
+// whose loader failed or loaded another capture than its entry names.
+type sourceError struct{ err error }
+
+func (e *sourceError) Error() string { return e.err.Error() }
+
+// captureMemo is what a run knows about one capture once it has passed
+// stages 0 and 1, and what a delta memo keeps so a later run needs
+// neither to load the capture nor to gate it.
+type captureMemo struct {
+	// meta is a frameless copy of the capture: ID, kind, night, geo,
+	// camera and room, all the later stages read of it.
+	meta *Capture
+	// The gate verdict: admitted, score (0 = unscored), trajectory-routed,
+	// and the reasons of a rejection.
+	ok      bool
+	score   float64
+	traj    bool
+	reasons []string
+	// track is the extracted track; nil for a rejected capture.
+	track *Track
+}
+
+// gateCapture runs the quality gate and modality routing on one loaded
+// capture. It returns the capture the pipeline consumes — a sanitized
+// copy when the gate repaired one — and the capture's verdict.
+func gateCapture(c *Capture, cfg Config, reg *obs.Registry) (*Capture, *captureMemo) {
+	m := &captureMemo{
+		meta: &Capture{ID: c.ID, Kind: c.Kind, Night: c.Night, Geo: c.Geo, Camera: c.Camera, RoomID: c.RoomID},
+		ok:   true,
+		// Every capture is trajectory-routed in ModeTrajectory; in
+		// ModeHybrid, those the full gate rejected but the inertial
+		// verdict admitted.
+		traj: cfg.Mode == ModeTrajectory,
+	}
+	if cfg.Quality == nil {
+		return c, m
+	}
+	qp := *cfg.Quality
+	qp.Obs = reg
+	var gated *Capture
+	var rep quality.Report
+	switch cfg.Mode {
+	case ModeTrajectory:
+		// Video is never consumed, so video defects must not reject the
+		// capture: the inertial verdict alone decides admission.
+		gated, rep = quality.GateIMU(c, qp)
+	case ModeHybrid:
+		gated, rep = quality.Gate(c, qp)
+		if !rep.OK {
+			// Per-modality rescue: a capture whose video failed the gate
+			// still contributes trajectory density when its IMU is sound.
+			if g, irep := quality.GateIMU(c, qp); irep.OK {
+				gated, rep, m.traj = g, irep, true
+			} else {
+				rep.Reasons = mergeReasons(rep.Reasons, irep.Reasons)
+			}
+		}
+	default:
+		gated, rep = quality.Gate(c, qp)
+	}
+	m.ok, m.score, m.reasons = rep.OK, rep.Score, rep.Reasons
+	return gated, m
+}
+
+// extractCapture builds an admitted capture's track on its route.
+func extractCapture(c *Capture, hash string, m *captureMemo, cfg Config) (*Track, error) {
+	var kfs []*KeyFrame
+	var traj *Trajectory
+	var err error
+	if m.traj {
+		traj, err = deadReckonTrack(c)
+	} else {
+		kfs, traj, err = keyframe.Extract(c, cfg.Keyframe)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &aggregate.Track{
+		ID:      c.ID,
+		Traj:    traj,
+		KFs:     kfs,
+		Night:   c.Night,
+		Hash:    hash,
+		Quality: m.score,
+	}, nil
 }
 
 // ParallelAggregate memoizes all pair comparisons with bounded parallelism

@@ -27,9 +27,12 @@ import (
 // Correctness model: every memo is keyed by the complete input set of the
 // computation it skips —
 //
-//   - track memo: the capture's content fingerprint; validity of all
-//     entries is guarded by the extraction-parameter signature (a config
-//     change resets the state wholesale).
+//   - capture memo: the caller's corpus entry fingerprint. An entry holds
+//     the gate verdict, the capture's frameless metadata and its track,
+//     so a hit neither loads nor gates the capture; validity of all
+//     entries is guarded by the config signature, which covers the gate
+//     and extraction parameters (a config change resets the state
+//     wholesale).
 //   - pair memo: aggregate.PairCache, keyed by fingerprint pairs and the
 //     aggregation-parameter signature (decisions pinned identical with or
 //     without the cache since PR 2).
@@ -72,8 +75,9 @@ type DeltaState struct {
 	// nil; a caller-supplied cache takes precedence and is never flushed
 	// by the rebuild backstop.
 	pairs *aggregate.PairCache
-	// tracks memoizes extraction: capture content fingerprint → track.
-	tracks map[string]*Track
+	// captures memoizes stages 0 and 1: corpus entry fingerprint → gate
+	// verdict, frameless metadata and track.
+	captures map[string]*captureMemo
 	// rooms memoizes room reconstruction outcomes (including failures).
 	rooms map[string]roomMemo
 	// grid is the incrementally patched occupancy grid.
@@ -90,8 +94,8 @@ type roomMemo struct {
 // run over it is a full build that populates the memos.
 func NewDeltaState() *DeltaState {
 	return &DeltaState{
-		tracks: make(map[string]*Track),
-		rooms:  make(map[string]roomMemo),
+		captures: make(map[string]*captureMemo),
+		rooms:    make(map[string]roomMemo),
 	}
 }
 
@@ -103,7 +107,7 @@ func (s *DeltaState) reset(sig string) {
 	s.sig = sig
 	s.cycles = 0
 	s.pairs = nil
-	s.tracks = make(map[string]*Track)
+	s.captures = make(map[string]*captureMemo)
 	s.rooms = make(map[string]roomMemo)
 	s.grid = nil
 }
@@ -125,13 +129,13 @@ func (s *DeltaState) Clone() *DeltaState {
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
 	out := &DeltaState{
-		sig:    s.sig,
-		cycles: s.cycles,
-		tracks: make(map[string]*Track, len(s.tracks)),
-		rooms:  make(map[string]roomMemo, len(s.rooms)),
+		sig:      s.sig,
+		cycles:   s.cycles,
+		captures: make(map[string]*captureMemo, len(s.captures)),
+		rooms:    make(map[string]roomMemo, len(s.rooms)),
 	}
-	for k, v := range s.tracks {
-		out.tracks[k] = v // tracks are immutable by contract
+	for k, v := range s.captures {
+		out.captures[k] = v // entries are immutable once stored
 	}
 	for k, v := range s.rooms {
 		out.rooms[k] = v
@@ -152,18 +156,22 @@ func (s *DeltaState) Clone() *DeltaState {
 // over an evolving corpus reuse the state's per-capture tracks, pair
 // decisions, occupancy-grid rasterization, and room reconstructions, so a
 // run after a small corpus change costs O(changed captures), not
-// O(corpus). The result is byte-identical to ReconstructContext over the
-// same corpus and config.
+// O(corpus). The corpus comes as sources: a capture the memo already
+// holds is never loaded, and a new or changed one is loaded inside its
+// extraction worker, so a run holds at most cfg.Workers decoded captures
+// at once. The result is byte-identical to ReconstructContext over the
+// loaded captures and the same config.
 //
-// A nil state degrades to ReconstructContext. A config change (detected
-// via an explicit versioned signature over every decision-relevant
-// parameter) resets the state automatically, as does the
-// Config.DeltaRebuildEvery backstop. The memos live in memory only: a
+// A nil state degrades to a plain run that loads every source. A config
+// change (detected via an explicit versioned signature over every
+// decision-relevant parameter) resets the state automatically, as does
+// the Config.DeltaRebuildEvery backstop. The memos live in memory only: a
 // fresh DeltaState (a restarted process) makes its first run a full
 // build.
 //
 // Progress is observable on the reconstruct.delta.* metrics: runs,
-// config_flushes, full_rebuilds, tracks.reused / .extracted,
+// config_flushes, full_rebuilds, tracks.reused (memo hits) / .extracted
+// (admitted misses),
 // rooms.reused / .recomputed, grid.rebuilds / .rasterized / .reused.
 //
 // A delta Result is a complete Result: Tracks and Aggregation are fully
@@ -171,9 +179,9 @@ func (s *DeltaState) Clone() *DeltaState {
 // so downstream consumers — Result.PlacedKeyFrames and the read tier's
 // mapserve.Publish — work identically on delta and batch results, and a
 // no-op delta cycle publishes with an unchanged content ETag.
-func ReconstructDelta(ctx context.Context, captures []*Capture, cfg Config, state *DeltaState) (*Result, error) {
+func ReconstructDelta(ctx context.Context, sources []CaptureSource, cfg Config, state *DeltaState) (*Result, error) {
 	if state == nil {
-		return ReconstructContext(ctx, captures, cfg)
+		return reconstructPipeline(ctx, sources, cfg, nil, true)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -199,12 +207,12 @@ func ReconstructDelta(ctx context.Context, captures []*Capture, cfg Config, stat
 		cfg.PairCache = state.pairs
 	}
 	ds := &deltaRun{
-		state:      state,
-		resetEvent: resetReason,
-		usedTracks: make(map[string]bool),
-		usedRooms:  make(map[string]bool),
+		state:        state,
+		resetEvent:   resetReason,
+		usedCaptures: make(map[string]bool),
+		usedRooms:    make(map[string]bool),
 	}
-	res, err := reconstructPipeline(ctx, captures, cfg, ds)
+	res, err := reconstructPipeline(ctx, sources, cfg, ds, true)
 	if err == nil {
 		state.cycles++
 	}
@@ -219,9 +227,9 @@ type deltaRun struct {
 	resetEvent string
 	reg        *obs.Registry
 
-	mu         sync.Mutex
-	usedTracks map[string]bool
-	usedRooms  map[string]bool
+	mu           sync.Mutex
+	usedCaptures map[string]bool
+	usedRooms    map[string]bool
 }
 
 // begin wires the run to the resolved metrics registry; nil-safe so the
@@ -240,41 +248,48 @@ func (d *deltaRun) begin(reg *obs.Registry) {
 	}
 }
 
-// lookupTrack returns the memoized track for a gated capture's content
-// fingerprint, re-stamped with this run's quality score.
-func (d *deltaRun) lookupTrack(fp string, score float64) (*Track, bool) {
-	d.state.memoMu.Lock()
-	t := d.state.tracks[fp]
-	d.state.memoMu.Unlock()
-	if t == nil {
-		d.reg.Counter("reconstruct.delta.tracks.extracted").Inc()
+// lookup returns the memo entry of a corpus entry fingerprint. Nil-safe
+// for the batch path, which always misses.
+func (d *deltaRun) lookup(fp string) (*captureMemo, bool) {
+	if d == nil {
 		return nil, false
 	}
-	d.markTrackUsed(fp)
-	d.reg.Counter("reconstruct.delta.tracks.reused").Inc()
-	// Quality is stamped per run by the gate; clone so concurrent runs
-	// (and the race detector) never see a shared write. Deterministic
-	// gating means the score is the same for the same content anyway.
-	cp := *t
-	cp.Quality = score
-	return &cp, true
+	d.state.memoMu.Lock()
+	m := d.state.captures[fp]
+	d.state.memoMu.Unlock()
+	if m == nil {
+		return nil, false
+	}
+	d.markUsed(fp)
+	if m.track != nil {
+		d.reg.Counter("reconstruct.delta.tracks.reused").Inc()
+	}
+	return m, true
 }
 
-// storeTrack memoizes a freshly extracted track. Nil-safe for the batch
-// path.
-func (d *deltaRun) storeTrack(fp string, t *Track) {
+// extracting counts a memo miss the gate admitted, on its way to
+// extraction. Nil-safe.
+func (d *deltaRun) extracting() {
+	if d != nil {
+		d.reg.Counter("reconstruct.delta.tracks.extracted").Inc()
+	}
+}
+
+// store memoizes a loaded capture's verdict, metadata and track.
+// Nil-safe.
+func (d *deltaRun) store(fp string, m *captureMemo) {
 	if d == nil {
 		return
 	}
 	d.state.memoMu.Lock()
-	d.state.tracks[fp] = t
+	d.state.captures[fp] = m
 	d.state.memoMu.Unlock()
-	d.markTrackUsed(fp)
+	d.markUsed(fp)
 }
 
-func (d *deltaRun) markTrackUsed(fp string) {
+func (d *deltaRun) markUsed(fp string) {
 	d.mu.Lock()
-	d.usedTracks[fp] = true
+	d.usedCaptures[fp] = true
 	d.mu.Unlock()
 }
 
@@ -367,12 +382,12 @@ func (d *deltaRun) finish() {
 	}
 	st := d.state
 	d.mu.Lock()
-	usedTracks, usedRooms := d.usedTracks, d.usedRooms
+	usedCaptures, usedRooms := d.usedCaptures, d.usedRooms
 	d.mu.Unlock()
 	st.memoMu.Lock()
-	for fp := range st.tracks {
-		if !usedTracks[fp] {
-			delete(st.tracks, fp)
+	for fp := range st.captures {
+		if !usedCaptures[fp] {
+			delete(st.captures, fp)
 		}
 	}
 	for k := range st.rooms {

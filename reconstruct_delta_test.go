@@ -2,8 +2,10 @@ package crowdmap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"crowdmap/internal/mathx"
@@ -35,6 +37,49 @@ func deltaCorpus(t *testing.T, seed int64) ([]*Capture, Config) {
 	cfg.Seed = 7
 	cfg.Workers = 4
 	return ds.Captures, cfg
+}
+
+// loadCounter wraps captures as sources that count their loads.
+type loadCounter struct {
+	mu    sync.Mutex
+	loads map[string]int // corpus entry fingerprint → loads
+}
+
+func (lc *loadCounter) sources(captures []*Capture) []CaptureSource {
+	srcs := sourcesOf(captures)
+	for i := range srcs {
+		load, fp := srcs[i].Load, srcs[i].Entry.Fingerprint
+		srcs[i].Load = func(ctx context.Context) (*Capture, error) {
+			lc.mu.Lock()
+			lc.loads[fp]++
+			lc.mu.Unlock()
+			return load(ctx)
+		}
+	}
+	return srcs
+}
+
+// checkLoads runs one delta step through counting sources and requires
+// that exactly the captures absent from the previous step's corpus, the
+// added and modified ones, were loaded, each once: a memo hit is never
+// loaded.
+func checkLoads(t *testing.T, label string, prev, corpus []*Capture, run func([]CaptureSource)) {
+	t.Helper()
+	lc := &loadCounter{loads: make(map[string]int)}
+	run(lc.sources(corpus))
+	seen := make(map[string]bool, len(prev))
+	for _, e := range corpusEntries(prev) {
+		seen[e.Fingerprint] = true
+	}
+	want := make(map[string]int)
+	for _, e := range corpusEntries(corpus) {
+		if !seen[e.Fingerprint] {
+			want[e.Fingerprint] = 1
+		}
+	}
+	if !reflect.DeepEqual(lc.loads, want) {
+		t.Errorf("%s: loaded %d captures %v, want exactly the %d new ones %v", label, len(lc.loads), lc.loads, len(want), want)
+	}
 }
 
 // checkSameOutcome extends checkSameResult with the degraded-mode
@@ -84,6 +129,7 @@ func TestDeltaMatchesFullRebuild(t *testing.T) {
 	ops := []string{"add", "remove", "modify", "add", "readd", "modify"}
 	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
 	var lastRemoved *Capture
+	var prev []*Capture
 	totalReused := int64(0)
 	for step, op := range ops {
 		switch op {
@@ -115,10 +161,14 @@ func TestDeltaMatchesFullRebuild(t *testing.T) {
 		dreg := NewMetricsRegistry()
 		dcfg := cfg
 		dcfg.Metrics = dreg
-		dres, err := ReconstructDelta(ctx, corpus, dcfg, state)
-		if err != nil {
-			t.Fatalf("%s: delta: %v", label, err)
-		}
+		var dres *Result
+		checkLoads(t, label, prev, corpus, func(srcs []CaptureSource) {
+			var err error
+			if dres, err = ReconstructDelta(ctx, srcs, dcfg, state); err != nil {
+				t.Fatalf("%s: delta: %v", label, err)
+			}
+		})
+		prev = append(prev[:0:0], corpus...)
 		fcfg := cfg
 		fcfg.Metrics = NewMetricsRegistry()
 		fres, err := Reconstruct(corpus, fcfg)
@@ -176,6 +226,7 @@ func TestDeltaMatchesFullRebuildModes(t *testing.T) {
 			mmod := tc.prep(append([]*Capture(nil), modified...))
 			state := NewDeltaState()
 			reused := int64(0)
+			var prev []*Capture
 			for step, op := range []string{"add", "modify", "remove", "add"} {
 				switch op {
 				case "add":
@@ -196,10 +247,14 @@ func TestDeltaMatchesFullRebuildModes(t *testing.T) {
 				dreg := NewMetricsRegistry()
 				dcfg := mcfg
 				dcfg.Metrics = dreg
-				dres, err := ReconstructDelta(ctx, corpus, dcfg, state)
-				if err != nil {
-					t.Fatalf("%s: delta: %v", label, err)
-				}
+				var dres *Result
+				checkLoads(t, label, prev, corpus, func(srcs []CaptureSource) {
+					var err error
+					if dres, err = ReconstructDelta(ctx, srcs, dcfg, state); err != nil {
+						t.Fatalf("%s: delta: %v", label, err)
+					}
+				})
+				prev = append(prev[:0:0], corpus...)
 				fcfg := mcfg
 				fcfg.Metrics = NewMetricsRegistry()
 				fres, err := Reconstruct(corpus, fcfg)
@@ -234,7 +289,7 @@ func TestDeltaRebuildBackstopAndConfigFlush(t *testing.T) {
 		reg := NewMetricsRegistry()
 		c := cfg
 		c.Metrics = reg
-		res, err := ReconstructDelta(ctx, corpus, c, state)
+		res, err := ReconstructDelta(ctx, sourcesOf(corpus), c, state)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -274,7 +329,7 @@ func TestDeltaRebuildBackstopAndConfigFlush(t *testing.T) {
 	}
 
 	// Nil state degrades to plain reconstruction.
-	res, err := ReconstructDelta(ctx, corpus, cfg, nil)
+	res, err := ReconstructDelta(ctx, sourcesOf(corpus), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,4 +340,36 @@ func TestDeltaRebuildBackstopAndConfigFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSameOutcome(t, "nil state", res, full)
+}
+
+// TestDeltaSourceMismatchFailsRun: a source that loads a capture other
+// than the one its entry names, or cannot load at all, fails the run
+// with a plain error. No capture is to blame, so the error is never a
+// CaptureError a daemon would charge to the capture.
+func TestDeltaSourceMismatchFailsRun(t *testing.T) {
+	pool, cfg := deltaCorpus(t, 777)
+	modified, _ := deltaCorpus(t, 778)
+	cfg.Mode = ModeTrajectory // dead reckoning only: the check runs before any vision work
+	corpus := imuOnly(pool[:4])
+	changed := imuOnly(modified[:1])[0]
+	if changed.ID != corpus[0].ID || changed.Fingerprint() == corpus[0].Fingerprint() {
+		t.Fatal("fixture: the modified capture must keep the ID and change the content")
+	}
+	for name, load := range map[string]func(context.Context) (*Capture, error){
+		"changed content": func(context.Context) (*Capture, error) { return changed, nil },
+		"load error":      func(context.Context) (*Capture, error) { return nil, errors.New("archive gone") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			srcs := sourcesOf(corpus)
+			srcs[0].Load = load
+			res, err := ReconstructDelta(context.Background(), srcs, cfg, NewDeltaState())
+			if err == nil {
+				t.Fatalf("run succeeded over a mismatched source (%d tracks)", len(res.Tracks))
+			}
+			var ce *CaptureError
+			if errors.As(err, &ce) {
+				t.Errorf("mismatch reported as a CaptureError for %s: %v", ce.CaptureID, err)
+			}
+		})
+	}
 }

@@ -38,16 +38,19 @@ go test -run 'Fuzz' ./internal/cloud/server/ ./internal/cloud/mapserve/
 
 # Crash-recovery and retry tests again under the race detector, by name,
 # so a regression in the durability layer is reported explicitly rather
-# than buried in the full-suite run above.
+# than buried in the full-suite run above. Like the full race step, this
+# one and the next run cmd/crowdmapd's real-pipeline tests, which take
+# minutes under -race on a 2-vCPU host: go test's default 10m limit is
+# too tight.
 echo "== fault injection (race) =="
-go test -race -run 'WAL|Torn|Flaky|Retry|Backoff|DeadLetter|Checkpoint|Journal|Resume|Recover|Processor' \
+go test -race -timeout 30m -run 'WAL|Torn|Flaky|Retry|Backoff|DeadLetter|Checkpoint|Journal|Resume|Recover|Processor' \
 	./internal/cloud/... ./cmd/crowdmapd/
 
 # Scheduler, admission-control, and drain tests under the race detector,
 # by name: these are the concurrency-heavy paths where a data race is
 # most likely to regress silently.
 echo "== scheduler/admission/drain (race) =="
-go test -race -run 'Sched|Admission|Drain|Overlapping|Serialization|Transient|Quarantine' \
+go test -race -timeout 30m -run 'Sched|Admission|Drain|Overlapping|Serialization|Transient|Quarantine' \
 	./internal/cloud/sched/ ./internal/cloud/server/ ./cmd/crowdmapd/
 
 # Pooled-buffer and quantized-index tests under the race detector, by
@@ -151,9 +154,10 @@ echo "smoke2: 422 for corrupt archive, daemon healthy, good uploads reconstructe
 # building job runs the delta path), build a plan from three captures,
 # then upload one more and require that the incremental run reuses every
 # previously extracted track — the end-to-end check that an upload to a
-# reconstructed building costs O(delta), not a full re-run — and that the
-# upload costs exactly one pipeline run. Both are asserted through the
-# reconstruct.* counters on /metrics.
+# reconstructed building costs O(delta), not a full re-run — that the
+# upload costs exactly one pipeline run, and that the job decodes only
+# the new archive (memo hits are never decoded). All are asserted through
+# the reconstruct.* and crowdmapd.captures.decoded counters on /metrics.
 echo "== delta reconstruction smoke test =="
 go run ./cmd/datagen -building Lab2 -walks 4 -visits 0 -users 1 -out "$smoke/deltacaps"
 "$smoke/crowdmapd" -addr 127.0.0.1:18744 -interval 1s -hypotheses 200 \
@@ -191,6 +195,7 @@ metric() {
 }
 extracted_before=$(metric reconstruct.delta.tracks.extracted)
 runs_before=$(metric reconstruct.runs)
+decoded_before=$(metric crowdmapd.captures.decoded)
 id=$(basename "$last" .zip)
 curl -fsS -o /dev/null --data-binary @"$last" \
 	"http://127.0.0.1:18744/api/v1/captures/$id/chunks?index=0&total=1"
@@ -210,6 +215,7 @@ sleep 3 # a few more scans: a current building must not run again
 reused=$(metric reconstruct.delta.tracks.reused)
 extracted=$(metric reconstruct.delta.tracks.extracted)
 runs=$(metric reconstruct.runs)
+decoded=$(metric crowdmapd.captures.decoded)
 if [ "$((runs - runs_before))" -ne 1 ]; then
 	echo "smoke3: the incremental upload cost $((runs - runs_before)) pipeline runs, want exactly 1"
 	cat "$smoke/daemon3.log"; exit 1
@@ -222,12 +228,52 @@ if [ "$((extracted - extracted_before))" -gt 1 ]; then
 	echo "smoke3: incremental run extracted $((extracted - extracted_before)) tracks, want <= 1"
 	cat "$smoke/daemon3.log"; exit 1
 fi
+if [ "$((decoded - decoded_before))" -ne 1 ]; then
+	echo "smoke3: incremental upload decoded $((decoded - decoded_before)) archives, want exactly 1"
+	cat "$smoke/daemon3.log"; exit 1
+fi
 curl -fsS -o /dev/null http://127.0.0.1:18744/api/v1/buildings/Lab2/plan.svg || {
 	echo "smoke3: plan gone after incremental run"; cat "$smoke/daemon3.log"; exit 1; }
 kill -TERM "$daemon3"
 wait "$daemon3" || { echo "smoke3: daemon exited nonzero"; cat "$smoke/daemon3.log"; exit 1; }
 trap 'rm -rf "$smoke"' EXIT
-echo "smoke3: incremental run reused $reused tracks, extracted $((extracted - extracted_before))"
+echo "smoke3: incremental run reused $reused tracks, extracted $((extracted - extracted_before)), decoded $((decoded - decoded_before))"
+
+# Commit-driven scheduling smoke test: with -interval 1h no scan tick
+# comes in time, so only the upload commit hook (and the startup scan,
+# which runs over an empty store) can schedule the job. Three uploads
+# must still be served as a plan within the same 120 s poll budget.
+echo "== commit-driven scheduling smoke test =="
+"$smoke/crowdmapd" -addr 127.0.0.1:18747 -interval 1h -hypotheses 200 \
+	>"$smoke/daemon6.log" 2>&1 &
+daemon6=$!
+trap 'kill -9 "$daemon6" 2>/dev/null; rm -rf "$smoke"' EXIT
+for i in $(seq 1 50); do
+	curl -fsS -o /dev/null http://127.0.0.1:18747/healthz 2>/dev/null && break
+	sleep 0.2
+	if [ "$i" -eq 50 ]; then
+		echo "smoke6: daemon never became healthy"; cat "$smoke/daemon6.log"; exit 1
+	fi
+done
+for cap in $first; do
+	id=$(basename "$cap" .zip)
+	curl -fsS -o /dev/null --data-binary @"$cap" \
+		"http://127.0.0.1:18747/api/v1/captures/$id/chunks?index=0&total=1"
+done
+plan_ok=0
+for i in $(seq 1 120); do
+	if curl -fsS -o /dev/null http://127.0.0.1:18747/api/v1/buildings/Lab2/plan.svg 2>/dev/null; then
+		plan_ok=1; break
+	fi
+	sleep 1
+done
+if [ "$plan_ok" -ne 1 ]; then
+	echo "smoke6: no plan from three uploads without a scan tick"; cat "$smoke/daemon6.log"; exit 1
+fi
+kill -TERM "$daemon6"
+wait "$daemon6" || { echo "smoke6: daemon exited nonzero"; cat "$smoke/daemon6.log"; exit 1; }
+trap 'rm -rf "$smoke"' EXIT
+echo "smoke6: plan served from three uploads after ${i}s, with no scan tick"
 
 # IMU-only trajectory-mode smoke test: boot the daemon with -mode
 # trajectory, upload frame-less IMU-only archives (datagen -imu-only is
